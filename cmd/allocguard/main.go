@@ -1,17 +1,18 @@
 // Command allocguard is the allocation-regression gate wired into
 // `make bench-smoke`: it reads `go test -bench -benchmem` output on
-// stdin, extracts allocs/op for each benchmark named in the committed
-// baseline file, and exits 1 when any exceeds its baseline by more
-// than the tolerance (10%). PR 9 cut JSON_TABLE expansion from ~302k
-// to ~34k allocs/op; the guard keeps later PRs from silently giving
-// that back.
+// stdin, extracts allocs/op and B/op for each benchmark named in the
+// committed baseline file, and exits 1 when either exceeds its
+// baseline by more than the tolerance (10%). Both are gated because
+// they regress independently: one oversized allocation per query (a
+// 256 KB row-arena slab on the point-query path) moves B/op thirtyfold
+// while allocs/op barely moves.
 //
 // Usage:
 //
 //	go test -run '^$' -bench Fig3OLAPOSON -benchmem . | allocguard -baseline ALLOC_BASELINE.txt
 //
-// The baseline file holds one entry per line — `BenchmarkName allocs`
-// — with #-comments and blank lines ignored. Every listed benchmark
+// The baseline file holds one entry per line — `BenchmarkName allocs
+// bytes` — with #-comments and blank lines ignored. Every listed benchmark
 // must appear in the input; missing ones fail the gate with a single
 // consolidated listing, alongside any unmatched benchmarks the output
 // did carry (the usual culprits after a rename — the baseline should
@@ -31,15 +32,21 @@ import (
 	"strings"
 )
 
-// tolerance is how far above baseline allocs/op may drift before the
-// gate fails: benchmarks allocate near-deterministically, so 10%
-// absorbs pool warmup variance while catching any real regression.
+// tolerance is how far above baseline allocs/op and B/op may drift
+// before the gate fails: benchmarks allocate near-deterministically,
+// so 10% absorbs pool warmup and core-count variance while catching
+// any real regression.
 const tolerance = 1.10
 
 // benchLine matches one -benchmem result line, capturing the
-// benchmark name (with any -N GOMAXPROCS suffix stripped) and its
-// allocs/op figure.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+.*?(\d+)\s+allocs/op`)
+// benchmark name (with any -N GOMAXPROCS suffix stripped) and its B/op
+// and allocs/op figures.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+.*?(\d+)\s+B/op\s+(\d+)\s+allocs/op`)
+
+// usage is one benchmark's per-op allocation figures.
+type usage struct {
+	allocs, bytes int64
+}
 
 func main() {
 	baselinePath := flag.String("baseline", "ALLOC_BASELINE.txt", "committed allocs/op baseline file")
@@ -62,10 +69,10 @@ func main() {
 	}
 }
 
-// parseBench extracts allocs/op per benchmark from go test -benchmem
-// output, echoing every line to echo for the build log.
-func parseBench(r io.Reader, echo io.Writer) (map[string]int64, error) {
-	got := map[string]int64{}
+// parseBench extracts allocs/op and B/op per benchmark from go test
+// -benchmem output, echoing every line to echo for the build log.
+func parseBench(r io.Reader, echo io.Writer) (map[string]usage, error) {
+	got := map[string]usage{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
@@ -74,21 +81,22 @@ func parseBench(r io.Reader, echo io.Writer) (map[string]int64, error) {
 		if m == nil {
 			continue
 		}
-		n, err := strconv.ParseInt(m[2], 10, 64)
-		if err != nil {
+		bytes, err1 := strconv.ParseInt(m[2], 10, 64)
+		allocs, err2 := strconv.ParseInt(m[3], 10, 64)
+		if err1 != nil || err2 != nil {
 			continue
 		}
-		got[m[1]] = n
+		got[m[1]] = usage{allocs: allocs, bytes: bytes}
 	}
 	return got, sc.Err()
 }
 
-// compare checks every baseline entry against the measured allocs,
-// writing verdicts to out and failures to errw; it reports whether
-// the gate fails. Output is sorted by benchmark name so failures read
+// compare checks every baseline entry's allocs/op and B/op against the
+// measured ones, writing verdicts to out and failures to errw; it
+// reports whether the gate fails. Output is sorted by benchmark name so failures read
 // the same run to run, and every missing benchmark is listed in one
 // block together with the unmatched names the output did carry.
-func compare(baseline, got map[string]int64, baselinePath string, out, errw io.Writer) bool {
+func compare(baseline, got map[string]usage, baselinePath string, out, errw io.Writer) bool {
 	names := make([]string, 0, len(baseline))
 	for name := range baseline {
 		names = append(names, name)
@@ -98,22 +106,18 @@ func compare(baseline, got map[string]int64, baselinePath string, out, errw io.W
 	failed := false
 	var missing []string
 	for _, name := range names {
-		base := baseline[name]
-		allocs, ok := got[name]
+		u, ok := got[name]
 		if !ok {
 			missing = append(missing, name)
 			failed = true
 			continue
 		}
-		limit := int64(float64(base) * tolerance)
-		switch {
-		case allocs > limit:
-			fmt.Fprintf(errw, "allocguard: %s regressed: %d allocs/op > %d (baseline %d +10%%)\n", name, allocs, limit, base)
+		base := baseline[name]
+		if gate(name, "allocs/op", u.allocs, base.allocs, out, errw) {
 			failed = true
-		case float64(allocs) < float64(base)/tolerance:
-			fmt.Fprintf(out, "allocguard: %s improved to %d allocs/op (baseline %d) — consider ratcheting the baseline down\n", name, allocs, base)
-		default:
-			fmt.Fprintf(out, "allocguard: %s ok: %d allocs/op (baseline %d, limit %d)\n", name, allocs, base, limit)
+		}
+		if gate(name, "B/op", u.bytes, base.bytes, out, errw) {
+			failed = true
 		}
 	}
 	if len(missing) > 0 {
@@ -129,9 +133,25 @@ func compare(baseline, got map[string]int64, baselinePath string, out, errw io.W
 	return failed
 }
 
+// gate checks one measured figure against its baseline, writing the
+// verdict to out or errw; it reports whether the figure regressed.
+func gate(name, unit string, n, base int64, out, errw io.Writer) bool {
+	limit := int64(float64(base) * tolerance)
+	switch {
+	case n > limit:
+		fmt.Fprintf(errw, "allocguard: %s regressed: %d %s > %d (baseline %d +10%%)\n", name, n, unit, limit, base)
+		return true
+	case float64(n) < float64(base)/tolerance:
+		fmt.Fprintf(out, "allocguard: %s improved to %d %s (baseline %d) — consider ratcheting the baseline down\n", name, n, unit, base)
+	default:
+		fmt.Fprintf(out, "allocguard: %s ok: %d %s (baseline %d, limit %d)\n", name, n, unit, base, limit)
+	}
+	return false
+}
+
 // unmatched lists, sorted, the benchmarks measured in the output that
 // no baseline entry names — the rename candidates.
-func unmatched(baseline, got map[string]int64) []string {
+func unmatched(baseline, got map[string]usage) []string {
 	var extra []string
 	for name := range got {
 		if _, ok := baseline[name]; !ok {
@@ -142,15 +162,15 @@ func unmatched(baseline, got map[string]int64) []string {
 	return extra
 }
 
-// readBaseline parses the committed baseline file: `name allocs` per
-// line, #-comments and blanks skipped.
-func readBaseline(path string) (map[string]int64, error) {
+// readBaseline parses the committed baseline file: `name allocs bytes`
+// per line, #-comments and blanks skipped.
+func readBaseline(path string) (map[string]usage, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	out := map[string]int64{}
+	out := map[string]usage{}
 	sc := bufio.NewScanner(f)
 	ln := 0
 	for sc.Scan() {
@@ -160,14 +180,18 @@ func readBaseline(path string) (map[string]int64, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("%s:%d: want `BenchmarkName allocs`, got %q", path, ln, line)
+		if len(fields) != 3 {
+			return nil, fmt.Errorf("%s:%d: want `BenchmarkName allocs bytes`, got %q", path, ln, line)
 		}
-		n, err := strconv.ParseInt(fields[1], 10, 64)
+		allocs, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("%s:%d: bad allocs count %q", path, ln, fields[1])
 		}
-		out[fields[0]] = n
+		bytes, err := strconv.ParseInt(fields[2], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("%s:%d: bad bytes count %q", path, ln, fields[2])
+		}
+		out[fields[0]] = usage{allocs: allocs, bytes: bytes}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -11,7 +11,7 @@ BenchmarkExpandRenamed-8  	     100	   1000000 ns/op	  100000 B/op	    2000 allo
 PASS
 `
 
-func parse(t *testing.T, out string) map[string]int64 {
+func parse(t *testing.T, out string) map[string]usage {
 	t.Helper()
 	got, err := parseBench(strings.NewReader(out), &strings.Builder{})
 	if err != nil {
@@ -22,8 +22,8 @@ func parse(t *testing.T, out string) map[string]int64 {
 
 func TestParseBenchStripsProcSuffix(t *testing.T) {
 	got := parse(t, benchOutput)
-	if got["BenchmarkFig3OLAPOSON"] != 34000 {
-		t.Errorf("BenchmarkFig3OLAPOSON = %d, want 34000", got["BenchmarkFig3OLAPOSON"])
+	if want := (usage{allocs: 34000, bytes: 5000000}); got["BenchmarkFig3OLAPOSON"] != want {
+		t.Errorf("BenchmarkFig3OLAPOSON = %+v, want %+v", got["BenchmarkFig3OLAPOSON"], want)
 	}
 	if len(got) != 2 {
 		t.Errorf("parsed %d benchmarks, want 2", len(got))
@@ -31,13 +31,18 @@ func TestParseBenchStripsProcSuffix(t *testing.T) {
 }
 
 func TestCompareOKAndImproved(t *testing.T) {
-	baseline := map[string]int64{"BenchmarkFig3OLAPOSON": 34000, "BenchmarkExpandRenamed": 34000}
+	baseline := map[string]usage{
+		"BenchmarkFig3OLAPOSON":  {allocs: 34000, bytes: 4800000},
+		"BenchmarkExpandRenamed": {allocs: 34000, bytes: 100000},
+	}
 	var out, errw strings.Builder
 	if compare(baseline, parse(t, benchOutput), "ALLOC_BASELINE.txt", &out, &errw) {
 		t.Fatalf("gate failed on in-tolerance run:\n%s", errw.String())
 	}
-	if !strings.Contains(out.String(), "BenchmarkFig3OLAPOSON ok") {
-		t.Errorf("missing ok verdict:\n%s", out.String())
+	for _, w := range []string{"BenchmarkFig3OLAPOSON ok: 34000 allocs/op", "BenchmarkFig3OLAPOSON ok: 5000000 B/op"} {
+		if !strings.Contains(out.String(), w) {
+			t.Errorf("missing ok verdict %q:\n%s", w, out.String())
+		}
 	}
 	if !strings.Contains(out.String(), "ratcheting the baseline down") {
 		t.Errorf("missing improvement hint for the 2000-alloc result:\n%s", out.String())
@@ -45,7 +50,7 @@ func TestCompareOKAndImproved(t *testing.T) {
 }
 
 func TestCompareRegression(t *testing.T) {
-	baseline := map[string]int64{"BenchmarkFig3OLAPOSON": 20000}
+	baseline := map[string]usage{"BenchmarkFig3OLAPOSON": {allocs: 20000, bytes: 5000000}}
 	var out, errw strings.Builder
 	if !compare(baseline, parse(t, benchOutput), "ALLOC_BASELINE.txt", &out, &errw) {
 		t.Fatal("34000 allocs against a 20000 baseline must fail")
@@ -55,11 +60,27 @@ func TestCompareRegression(t *testing.T) {
 	}
 }
 
+// TestCompareBytesRegression: B/op is gated on its own — a run that
+// keeps its allocation count but allocates far larger blocks fails.
+func TestCompareBytesRegression(t *testing.T) {
+	baseline := map[string]usage{"BenchmarkFig3OLAPOSON": {allocs: 34000, bytes: 1000000}}
+	var out, errw strings.Builder
+	if !compare(baseline, parse(t, benchOutput), "ALLOC_BASELINE.txt", &out, &errw) {
+		t.Fatal("5000000 B/op against a 1000000 baseline must fail")
+	}
+	if !strings.Contains(errw.String(), "regressed: 5000000 B/op > 1100000") {
+		t.Errorf("missing B/op regression message:\n%s", errw.String())
+	}
+	if strings.Contains(errw.String(), "allocs/op") {
+		t.Errorf("in-baseline allocs/op reported as a regression:\n%s", errw.String())
+	}
+}
+
 func TestCompareMissingBenchmarksListed(t *testing.T) {
-	baseline := map[string]int64{
-		"BenchmarkExpandOld":    2000, // renamed in the output
-		"BenchmarkFig3OLAPOSON": 34000,
-		"BenchmarkGone":         10,
+	baseline := map[string]usage{
+		"BenchmarkExpandOld":    {allocs: 2000, bytes: 100000}, // renamed in the output
+		"BenchmarkFig3OLAPOSON": {allocs: 34000, bytes: 5000000},
+		"BenchmarkGone":         {allocs: 10, bytes: 100},
 	}
 	var out, errw strings.Builder
 	if !compare(baseline, parse(t, benchOutput), "base.txt", &out, &errw) {

@@ -580,11 +580,6 @@ type Doc struct {
 	// shared is the external dictionary for set-encoded documents
 	// (nil for self-contained documents).
 	shared *SharedDict
-	// gen distinguishes successive ParseInto reuses of one Doc struct:
-	// FieldRef look-back records are keyed by (pointer, gen), so a
-	// pooled Doc repointed at a different document cannot serve stale
-	// field-id resolutions.
-	gen uint64
 }
 
 // Parse validates the OSON framing and returns a Doc for navigation.
@@ -612,7 +607,7 @@ func ParseInto(d *Doc, buf []byte) error {
 	if buf[4]&flagSharedDict != 0 {
 		return fmt.Errorf("%w: set-encoded document requires ParseShared", ErrCorrupt)
 	}
-	*d = Doc{gen: d.gen + 1}
+	*d = Doc{}
 	return parseCommonInto(d, buf)
 }
 
@@ -1232,22 +1227,14 @@ type FieldRef struct {
 	Name string
 	H    uint32
 
-	// last holds the look-back state as one immutable record behind an
-	// atomic pointer, so a FieldRef shared between concurrent scans
-	// (parallel scan workers, virtual-column closures) stays data-race
-	// free without a lock on the hot path.
-	last atomic.Pointer[lookback]
-}
-
-// lookback is the immutable per-document resolution cache record. The
-// generation rides along so a pooled Doc reinitialized by ParseInto
-// (same pointer, different document) misses instead of serving the
-// previous document's id.
-type lookback struct {
-	doc *Doc
-	gen uint64
-	id  FieldID
-	ok  bool
+	// last is the look-back: the most recently resolved id packed as
+	// id<<1|1 (zero means no id yet). One atomic word keeps a FieldRef
+	// shared between concurrent scans (parallel scan workers,
+	// virtual-column closures) data-race free without a lock or an
+	// allocation on the hot path. The word carries no document
+	// identity: every use revalidates the id against the document at
+	// hand, so a stale id can only miss, never answer wrongly.
+	last atomic.Uint64
 }
 
 // NewFieldRef compiles a field reference.
@@ -1257,32 +1244,31 @@ func NewFieldRef(name string) *FieldRef {
 
 // Resolve returns the field id of the referenced name in d.
 func (r *FieldRef) Resolve(d *Doc) (FieldID, bool) {
-	lb := r.last.Load()
-	if lb != nil && lb.doc == d && lb.gen == d.gen {
-		return lb.id, lb.ok
-	}
-	// look-back: check whether the previous document's id is valid here.
-	// Shared-dictionary documents have globally stable ids, so the
-	// look-back always hits once the name has been seen (§7). A hit
-	// deliberately does NOT refresh the stored lookback: a scan visits
-	// each document once, so storing per document would allocate one
-	// lookback per row for nothing — revalidating the old entry is a
-	// hash compare plus a zero-copy name compare.
-	if lb != nil && lb.ok {
+	// look-back: check whether the previous document's id is valid here
+	// — a hash compare plus a zero-copy name compare. Shared-dictionary
+	// documents have globally stable ids, so the look-back always hits
+	// once the name has been seen (§7).
+	last := r.last.Load()
+	if last&1 != 0 {
+		id := FieldID(last >> 1)
 		if d.shared != nil {
-			if n, err := d.shared.Name(lb.id); err == nil && n == r.Name {
+			if n, err := d.shared.Name(id); err == nil && n == r.Name {
 				mLookbackHits.Inc()
-				return lb.id, true
+				return id, true
 			}
-		} else if int(lb.id) < d.count && d.entryHash(int(lb.id)) == r.H {
-			if n, err := d.FieldName(lb.id); err == nil && n == r.Name {
+		} else if int(id) < d.count && d.entryHash(int(id)) == r.H {
+			if n, err := d.FieldName(id); err == nil && n == r.Name {
 				mLookbackHits.Inc()
-				return lb.id, true
+				return id, true
 			}
 		}
 	}
 	mLookbackMisses.Inc()
 	id, ok := d.LookupID(r.H, r.Name)
-	r.last.Store(&lookback{doc: d, gen: d.gen, id: id, ok: ok})
+	if ok {
+		// an absent field keeps the previous id: on sparse collections
+		// the next document likely has the field at its old position
+		r.last.Store(uint64(id)<<1 | 1)
+	}
 	return id, ok
 }

@@ -67,9 +67,12 @@ func (e *planEnv) ctx(sch Schema, row []jsondom.Value) *evalCtx {
 
 // bindCtx prepares a reusable evaluation context for an operator: the
 // column references of the given expressions are resolved against the
-// schema once, so per-row evaluation is a pointer-keyed map hit.
+// schema once, so per-row evaluation is a pointer-keyed map hit, and
+// SQL/JSON operators bind documents through the context's own Binder.
+// A context serves one goroutine: parallel workers bind their own.
 func (e *planEnv) bindCtx(sch Schema, exprs ...Expr) *evalCtx {
 	ctx := e.ctx(sch, nil)
+	ctx.bound = true
 	ctx.colIdx = make(map[*ColRef]int)
 	for _, x := range exprs {
 		bindCols(x, sch, ctx.colIdx)

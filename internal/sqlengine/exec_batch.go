@@ -45,9 +45,14 @@ import (
 // per NextBatch call.
 const batchSize = imc.ChunkSize
 
-// arenaSlabValues is the number of jsondom.Value slots carved per
+// arenaSlabValues caps the number of jsondom.Value slots carved per
 // arena slab allocation (one alloc per ~8 batches of 8-column rows).
-const arenaSlabValues = 8192
+// Slabs start at arenaFirstSlab and double up to the cap, so a point
+// query returning one row does not pay for a full slab (~256 KB).
+const (
+	arenaSlabValues = 8192
+	arenaFirstSlab  = 64
+)
 
 // Batch is a chunk of rows flowing between batch-aware operators.
 // Headers are pooled: a batch returned by NextBatch is valid until the
@@ -114,23 +119,23 @@ func putBatch(b *Batch) {
 }
 
 // rowArena carves per-row []jsondom.Value slices out of large slabs:
-// one slab allocation serves arenaSlabValues/width rows. Carved rows
+// one slab allocation serves many rows, slab sizes growing
+// geometrically from arenaFirstSlab to arenaSlabValues. Carved rows
 // use a full slice expression, so appending to one can never clobber a
 // neighbor, and slabs are ordinary GC-managed memory — rows stay valid
 // for as long as anything references them, which is what lets batch
 // consumers retain them without a copy.
 type rowArena struct {
 	slab []jsondom.Value
+	next int // size of the next slab; 0 before the first
 }
 
 // alloc carves an n-value row from the current slab.
 func (a *rowArena) alloc(n int) []jsondom.Value {
 	if n > len(a.slab) {
-		size := arenaSlabValues
-		if n > size {
-			size = n
-		}
-		a.slab = make([]jsondom.Value, size)
+		size := max(a.next, arenaFirstSlab)
+		a.next = min(2*size, arenaSlabValues)
+		a.slab = make([]jsondom.Value, max(size, n))
 	}
 	row := a.slab[:n:n]
 	a.slab = a.slab[n:]

@@ -67,6 +67,12 @@ type evalCtx struct {
 	// context's schema; operators build it once at Open so per-row
 	// evaluation avoids the linear name search.
 	colIdx map[*ColRef]int
+	// bound marks an operator-bound context (bindCtx): its SQL/JSON
+	// operators bind documents through docs, built on first use, so
+	// each row's document parses once per context and evaluates over
+	// reused scratch. One-shot contexts decode through FromDatum.
+	bound bool
+	docs  *sqljson.Binder
 }
 
 var null = jsondom.Null{}
@@ -276,7 +282,13 @@ func evalDoc(ctx *evalCtx, e Expr) (*sqljson.Document, error) {
 	if isNull(v) {
 		return nil, nil
 	}
-	return sqljson.FromDatum(v)
+	if !ctx.bound {
+		return sqljson.FromDatum(v)
+	}
+	if ctx.docs == nil {
+		ctx.docs = new(sqljson.Binder)
+	}
+	return ctx.docs.Bind(v)
 }
 
 func evalBinOp(ctx *evalCtx, t *BinOp) (jsondom.Value, error) {

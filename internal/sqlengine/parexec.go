@@ -32,6 +32,7 @@
 package sqlengine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -303,12 +304,19 @@ func (g *groupAggOp) buildParFast(ec *ExecCtx, pp *parPipe, parts [][2]int) (boo
 	index := make(map[uint64]*mergedGroup)
 	var order []*mergedGroup
 	var nullGroup *mergedGroup
+	// every partial is charged and checked before any is merged: a
+	// worker that saw the fleet abort returns a truncated partial with
+	// a nil error (nil reprs), explained only by another worker's error
+	var firstErr error
+	for pi := range partials {
+		g.memUsed += partials[pi].mem // charged by the worker; released at Close
+		firstErr = cmp.Or(firstErr, partials[pi].err)
+	}
+	if firstErr != nil {
+		return true, firstErr
+	}
 	for pi := range partials {
 		p := &partials[pi]
-		g.memUsed += p.mem // charged by the worker; released at Close
-		if p.err != nil {
-			return true, p.err
-		}
 		rows += p.rows
 		partialGroups += int64(len(p.order))
 		for i, fg := range p.order {
@@ -566,12 +574,17 @@ func (g *groupAggOp) buildParGeneric(ec *ExecCtx, pp *parPipe, parts [][2]int) (
 	var rows, partialGroups int64
 	index := make(map[string]*groupState)
 	var order []string
+	// charge and check every partial before merging any (see buildParFast)
+	var err error
+	for pi := range partials {
+		g.memUsed += partials[pi].mem
+		err = cmp.Or(err, partials[pi].err)
+	}
+	if err != nil {
+		return true, err
+	}
 	for pi := range partials {
 		p := &partials[pi]
-		g.memUsed += p.mem
-		if p.err != nil {
-			return true, p.err
-		}
 		rows += p.rows
 		partialGroups += int64(len(p.order))
 		for _, k := range p.order {
@@ -1248,13 +1261,17 @@ func (s *sortOp) buildParallel(ec *ExecCtx) (bool, error) {
 		go s.parSortWorker(ec, fleet, pipe, &runs[i])
 	}
 	fleet.wg.Wait()
+	// charge every run before returning any worker's error, so Close
+	// releases what all workers charged
 	var rows int64
+	var err error
 	for i := range runs {
 		s.memUsed += runs[i].mem
-		if runs[i].err != nil {
-			return true, runs[i].err
-		}
+		err = cmp.Or(err, runs[i].err)
 		rows += int64(len(runs[i].rows))
+	}
+	if err != nil {
+		return true, err
 	}
 	s.runs = runs
 	s.parStat = fmt.Sprintf("par-sort: workers=%d rows=%d", len(parts), rows)

@@ -267,6 +267,50 @@ func TestParExecMemoryBudget(t *testing.T) {
 	mustExec(t, je, `select o.oid, c.vname from orders o join custs c on o.vk = c.vid`)
 }
 
+// TestParExecMemoryBudgetStress: under budgets tiny enough that some
+// workers fail their charge while others finish or abandon their
+// partition, every parallel aggregation and sort must either return
+// ErrMemoryBudget or the serial result — never merge an abandoned
+// partial (which once indexed a nil representative-row slice and
+// panicked). Degrees 2-8 vary how many partials race the failing one.
+func TestParExecMemoryBudgetStress(t *testing.T) {
+	e := newBatchEngine(t)
+	queries := []string{
+		`select vn, count(*) from t group by vn`, // fast code-space agg
+		`select vs, count(*), min(vn) from t group by vs`,
+		`select vs, count(*) from t where did >= 0 group by vs`, // generic agg
+		`select did from t order by did`,
+	}
+	e.Planner = PlannerOptions{DisableParallelScan: true, DisableParallelExec: true}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		want[i] = fmt.Sprint(mustExec(t, e, q).Rows)
+	}
+	rounds := 8
+	if testing.Short() {
+		rounds = 2
+	}
+	for degree := 2; degree <= 8; degree++ {
+		for _, budget := range []int64{512, 4096, 32768, 1 << 18} {
+			e.Planner = parExecPlanner()
+			e.Planner.ParallelDegree = degree
+			e.Planner.MemoryBudget = budget
+			for round := 0; round < rounds; round++ {
+				for i, q := range queries {
+					r, err := e.Exec(q)
+					switch {
+					case errors.Is(err, ErrMemoryBudget):
+					case err != nil:
+						t.Fatalf("degree %d budget %d: %s: %v", degree, budget, q, err)
+					case fmt.Sprint(r.Rows) != want[i]:
+						t.Fatalf("degree %d budget %d: %s: rows differ from serial", degree, budget, q)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestParExecPrepared: prepared plans keep their parExec flags across
 // clonePlan, and bind parameters reaching worker-side filters resolve
 // per execution.

@@ -3,8 +3,9 @@
 // The one-shot Expand path allocates per document: a Document wrapper,
 // an OSON Doc and OsonTree, per-step node slices inside path
 // evaluation, and the [][]jsondom.Value cross-product rows. An
-// ExpandState owns all of that scratch and reuses it across the
-// document stream an operator feeds it, so steady-state expansion
+// ExpandState binds documents through a Binder (binder.go) and owns the
+// row scratch and value dictionaries besides, reusing all of it across
+// the document stream an operator feeds it, so steady-state expansion
 // allocates only what the caller retains (boxed scalars that aren't
 // interned).
 //
@@ -22,12 +23,8 @@
 package sqljson
 
 import (
-	"fmt"
-
-	"repro/internal/bson"
 	"repro/internal/jsondom"
 	"repro/internal/jsontext"
-	"repro/internal/oson"
 	"repro/internal/pathengine"
 )
 
@@ -38,8 +35,8 @@ type ExpandStats struct {
 	Docs int64
 	// Rows is the number of rows emitted.
 	Rows int64
-	// ParseReuse counts OSON documents parsed into the reused Doc
-	// struct (arena reuse of the parse scratch).
+	// ParseReuse counts OSON documents parsed into the binder's reused
+	// Doc struct (arena reuse of the parse scratch).
 	ParseReuse int64
 	// ArenaGets and ArenaHits count path-evaluation scratch checkouts
 	// and how many were served from the freelists.
@@ -85,15 +82,9 @@ type ExpandState struct {
 	def   *TableDef
 	total int
 
-	ost  pathengine.EvalState[oson.NodeAddr]
-	dst  pathengine.EvalState[jsondom.Value]
-	tree pathengine.OsonTree
-	doc  oson.Doc
-	row  []jsondom.Value
-
-	// bound document: exactly one of bOson / bDom is active
-	bOson bool
-	bDom  jsondom.Value
+	b   Binder
+	doc *Document // bound document (Binder-owned); nil until Bind succeeds
+	row []jsondom.Value
 
 	// intern holds one value dictionary per flattened output column:
 	// expansion's dictionary encoding. Equal raw scalars come back as
@@ -104,7 +95,6 @@ type ExpandState struct {
 
 	docs       int64
 	rows       int64
-	parseReuse int64
 	internHits int64
 }
 
@@ -139,87 +129,55 @@ func (es *ExpandState) Width() int { return es.total }
 
 // Stats snapshots the state's counters.
 func (es *ExpandState) Stats() ExpandStats {
-	og, oh := es.ost.Reuse()
-	dg, dh := es.dst.Reuse()
+	og, oh := es.b.sc.ost.Reuse()
+	dg, dh := es.b.sc.dst.Reuse()
 	return ExpandStats{
 		Docs:       es.docs,
 		Rows:       es.rows,
-		ParseReuse: es.parseReuse,
+		ParseReuse: es.b.parses,
 		ArenaGets:  og + dg,
 		ArenaHits:  oh + dh,
 		InternHits: es.internHits,
 	}
 }
 
-// Bind points the state at one document datum, reusing the parse and
-// navigation scratch. Strings hold JSON text, binary values hold OSON
-// (by magic) or BSON, mirroring FromDatum.
+// Bind points the state at one document datum through its Binder. JSON
+// text is parsed to a DOM here rather than streamed: expansion touches
+// many paths per document.
 func (es *ExpandState) Bind(v jsondom.Value) error {
 	es.docs++
-	es.bOson = false
-	es.bDom = nil
-	switch t := v.(type) {
-	case jsondom.String:
-		dom, err := jsontext.Parse([]byte(t))
-		if err != nil {
-			return err
-		}
-		es.bDom = dom
-		return nil
-	case jsondom.Binary:
-		if len(t) >= 4 && string(t[:4]) == oson.Magic {
-			if err := oson.ParseInto(&es.doc, t); err != nil {
-				return err
-			}
-			es.parseReuse++
-			es.tree.Reset(&es.doc)
-			es.bOson = true
-			return nil
-		}
-		dom, err := bson.Decode(t)
-		if err != nil {
-			return err
-		}
-		es.bDom = dom
-		return nil
-	case oson.SharedValue:
-		es.tree.Reset(t.Doc)
-		es.bOson = true
-		return nil
-	case *jsondom.Object, *jsondom.Array:
-		es.bDom = v
-		return nil
+	es.doc = nil
+	d, err := es.b.Bind(v)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("%w: kind %v", ErrNotJSON, v.Kind())
+	if d.enc == EncText {
+		if _, err := d.DOM(); err != nil {
+			return err
+		}
+	}
+	es.doc = d
+	return nil
 }
 
 // Exists reports whether the path matches the bound document
 // (JSON_EXISTS semantics, used for pushed-down prefilters).
 func (es *ExpandState) Exists(c *pathengine.Compiled) (bool, error) {
-	if es.bOson {
-		ok := es.ost.Exists(&es.tree, es.tree.Doc.Root(), c)
-		if err := es.tree.Err(); err != nil {
-			return false, err
-		}
-		return ok, nil
-	}
-	return es.dst.Exists(pathengine.Dom, es.bDom, c), nil
+	return es.doc.Exists(c)
 }
 
 // Expand emits the JSON_TABLE rows of the bound document. The row slice
 // passed to emit is scratch owned by the state — valid only for the
 // duration of the callback; consumers copy what they keep.
 func (es *ExpandState) Expand(emit func(row []jsondom.Value) error) error {
-	if es.bOson {
-		if err := expandEmit(es, &es.ost, &es.tree, es.tree.Doc.Root(), emit); err != nil {
+	sc := &es.b.sc
+	if es.doc.enc == EncOSON {
+		if err := expandEmit(es, &sc.ost, &sc.tree, es.doc.od.Root(), emit); err != nil {
 			return err
 		}
-		if err := es.tree.Err(); err != nil {
-			return err
-		}
-		return nil
+		return sc.tree.Err()
 	}
-	return expandEmit(es, &es.dst, pathengine.Dom, es.bDom, emit)
+	return expandEmit(es, &sc.dst, pathengine.Dom, es.doc.dom, emit)
 }
 
 // expandEmit evaluates the row pattern and expands each match through

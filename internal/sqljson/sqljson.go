@@ -63,44 +63,76 @@ type Document struct {
 	text []byte
 	od   *oson.Doc
 	dom  jsondom.Value // cache for text/bson materialization
+	// sc is the evaluation scratch: a Binder's, for a document bound
+	// through one, or built on first use for a one-shot document.
+	sc *scratch
 }
 
 // FromDatum interprets a SQL value as a JSON document: strings hold
-// JSON text, binary values hold OSON (by magic) or BSON.
+// JSON text, binary values hold OSON (by magic) or BSON. The document
+// is one-shot; operators evaluating a stream of datums bind them
+// through a Binder instead, which reuses the parse and navigation
+// scratch.
 func FromDatum(v jsondom.Value) (*Document, error) {
+	d := new(Document)
+	if err := d.set(v); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// set points d at datum v, replacing all of d. OSON buffers parse
+// into a fresh Doc here; a Binder intercepts them first to parse into
+// its reused one.
+func (d *Document) set(v jsondom.Value) error {
 	switch t := v.(type) {
 	case jsondom.String:
-		return &Document{enc: EncText, text: []byte(t)}, nil
+		*d = Document{enc: EncText, text: []byte(t)}
+		return nil
 	case jsondom.Binary:
-		if len(t) >= 4 && string(t[:4]) == oson.Magic {
+		if isOson(t) {
 			od, err := oson.Parse(t)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			return &Document{enc: EncOSON, od: od}, nil
+			*d = Document{enc: EncOSON, od: od}
+			return nil
 		}
 		dom, err := bson.Decode(t)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return &Document{enc: EncBSON, dom: dom}, nil
+		*d = Document{enc: EncBSON, dom: dom}
+		return nil
 	case oson.SharedValue:
-		return FromOson(t.Doc), nil
+		*d = Document{enc: EncOSON, od: t.Doc}
+		return nil
 	case *jsondom.Object, *jsondom.Array:
-		return &Document{enc: EncDOM, dom: t}, nil
+		*d = Document{enc: EncDOM, dom: t}
+		return nil
 	}
-	return nil, fmt.Errorf("%w: kind %v", ErrNotJSON, v.Kind())
+	return fmt.Errorf("%w: kind %v", ErrNotJSON, v.Kind())
 }
 
-// FromOson wraps a pre-parsed OSON document (the in-memory OSON column
-// of §5.2.2 hands these out without reparsing).
-func FromOson(d *oson.Doc) *Document { return &Document{enc: EncOSON, od: d} }
+// isOson reports whether a binary datum holds OSON (by magic) rather
+// than BSON.
+func isOson(b jsondom.Binary) bool { return len(b) >= 4 && string(b[:4]) == oson.Magic }
 
 // FromDOM wraps a materialized tree.
 func FromDOM(v jsondom.Value) *Document { return &Document{enc: EncDOM, dom: v} }
 
 // Encoding returns the document's physical encoding.
 func (d *Document) Encoding() Encoding { return d.enc }
+
+// scratch returns the document's evaluation scratch, building it for a
+// one-shot document.
+func (d *Document) scratch() *scratch {
+	if d.sc == nil {
+		d.sc = new(scratch)
+		d.sc.tree.Reset(d.od)
+	}
+	return d.sc
+}
 
 // DOM materializes (and caches) the full document tree.
 func (d *Document) DOM() (jsondom.Value, error) {
@@ -131,14 +163,7 @@ func (d *Document) DOM() (jsondom.Value, error) {
 func (d *Document) Eval(c *pathengine.Compiled, limit int) ([]jsondom.Value, error) {
 	switch d.enc {
 	case EncOSON:
-		vals, err := pathengine.EvalOson(d.od, c)
-		if err != nil {
-			return nil, err
-		}
-		if limit > 0 && len(vals) > limit {
-			vals = vals[:limit]
-		}
-		return vals, nil
+		return d.scratch().evalOson(c, limit)
 	case EncText:
 		if d.dom == nil {
 			return pathengine.EvalText(d.text, c, limit)
@@ -157,8 +182,22 @@ func (d *Document) Eval(c *pathengine.Compiled, limit int) ([]jsondom.Value, err
 	}
 }
 
-// Exists implements JSON_EXISTS.
+// Exists implements JSON_EXISTS. OSON and materialized documents are
+// tested over the scratch node sequences without materializing a
+// match; JSON text without a cached DOM streams and stops at the
+// first match.
 func (d *Document) Exists(c *pathengine.Compiled) (bool, error) {
+	switch {
+	case d.enc == EncOSON:
+		sc := d.scratch()
+		ok := sc.ost.Exists(&sc.tree, d.od.Root(), c)
+		if err := sc.tree.Err(); err != nil {
+			return false, err
+		}
+		return ok, nil
+	case d.dom != nil:
+		return d.scratch().dst.Exists(pathengine.Dom, d.dom, c), nil
+	}
 	vals, err := d.Eval(c, 1)
 	if err != nil {
 		return false, err
@@ -183,7 +222,7 @@ const (
 func (d *Document) Value(c *pathengine.Compiled, rt ReturnType) (jsondom.Value, error) {
 	// field-chain fast path over OSON bytes or a cached DOM
 	if d.enc == EncOSON {
-		t := pathengine.NewOsonTree(d.od)
+		t := &d.scratch().tree
 		if node, found, ok := pathengine.EvalFieldChain[oson.NodeAddr](t, d.od.Root(), c); ok {
 			if err := t.Err(); err != nil {
 				return nil, err
