@@ -51,13 +51,13 @@ doccheck:
 # One iteration of every benchmark: catches bit-rot in the benchmark
 # harnesses without paying for full measurement runs. The second step
 # is the allocation-regression gate: allocs/op and B/op of the Fig3
-# OSON OLAP suite, the Fig6 OSON-IMC NOBENCH suite, and the prepared
-# point query must stay within 10% of the committed ALLOC_BASELINE.txt
-# figures, so expansion, document-binding, and row-arena allocation
-# work cannot silently erode.
+# OSON OLAP suite, the Fig6 OSON-IMC and VC-IMC NOBENCH suites, and the
+# prepared point query must stay within 10% of the committed
+# ALLOC_BASELINE.txt figures, so expansion, document-binding,
+# row-arena, and join-input pushdown work cannot silently erode.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) test -run '^$$' -bench 'Fig3OLAPOSON$$|Fig6NoBenchOsonIMC$$|Fig5Prepared$$/^prepared$$' -benchtime 5x -benchmem . | $(GO) run ./cmd/allocguard -baseline ALLOC_BASELINE.txt
+	$(GO) test -run '^$$' -bench 'Fig3OLAPOSON$$|Fig6NoBenchOsonIMC$$|Fig6NoBenchVCIMC$$|Fig5Prepared$$/^prepared$$' -benchtime 5x -benchmem . | $(GO) run ./cmd/allocguard -baseline ALLOC_BASELINE.txt
 
 # Benchmark run emitting the test2json machine-readable event stream
 # (one JSON object per line, ns/op and -benchmem allocs/op both

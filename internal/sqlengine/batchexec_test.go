@@ -215,11 +215,15 @@ func TestBatchStringSelfJoinDifferential(t *testing.T) {
 	runDifferential(t, e, queries)
 }
 
-// TestBatchExplainAnalyzeFastPaths asserts the fast paths actually
-// engaged and report their EXPLAIN ANALYZE stat lines.
+// TestBatchExplainAnalyzeFastPaths asserts the serial fast paths
+// actually engaged and report their EXPLAIN ANALYZE stat lines. The
+// planner is pinned to one worker so the serial operators run on any
+// core count; TestBatchExplainAnalyzeParallelFastPaths asserts the
+// partitioned shapes.
 func TestBatchExplainAnalyzeFastPaths(t *testing.T) {
 	e := newBatchEngine(t)
 	e.Planner.DisableParallelScan = true
+	e.Planner.ParallelDegree = 1
 
 	plan := explainPlan(t, e, `explain analyze select vs, count(*), sum(vn) from t group by vs`)
 	if !strings.Contains(plan, "agg-fast: key=dict-codes") {
@@ -232,6 +236,7 @@ func TestBatchExplainAnalyzeFastPaths(t *testing.T) {
 
 	je := newJoinEngine(t)
 	je.Planner.DisableParallelScan = true
+	je.Planner.ParallelDegree = 1
 	plan = explainPlan(t, je, `explain analyze select c.cid, o.oid from custs c join orders o on c.vid = o.vk`)
 	if !strings.Contains(plan, "dictprobe: key=float-bits") {
 		t.Errorf("hash join did not take the code-space probe path:\n%s", plan)
@@ -246,6 +251,36 @@ func TestBatchExplainAnalyzeFastPaths(t *testing.T) {
 	plan = explainPlan(t, e, `explain analyze select vs, count(*) from t group by vs`)
 	if strings.Contains(plan, "agg-fast") {
 		t.Errorf("DisableBatchExec left the aggregation fast path on:\n%s", plan)
+	}
+}
+
+// TestBatchExplainAnalyzeParallelFastPaths is the partitioned twin of
+// TestBatchExplainAnalyzeFastPaths: with two workers forced, grouped
+// aggregation fans out in code space (dictionary codes, float bits)
+// and the hash-join probe partitions over dictionary codes, with the
+// build side filtered by a WHERE conjunct pushed into its input.
+func TestBatchExplainAnalyzeParallelFastPaths(t *testing.T) {
+	e := newBatchEngine(t)
+	e.Planner.DisableParallelScan = true
+	e.Planner.ParallelDegree = 2
+
+	plan := explainPlan(t, e, `explain analyze select vs, count(*), sum(vn) from t group by vs`)
+	if !strings.Contains(plan, "par-agg: mode=dict-codes") {
+		t.Errorf("grouped aggregation did not fan out over dictionary codes:\n%s", plan)
+	}
+	plan = explainPlan(t, e, `explain analyze select vn, count(*) from t group by vn`)
+	if !strings.Contains(plan, "par-agg: mode=float-bits") {
+		t.Errorf("numeric grouping did not fan out over float bits:\n%s", plan)
+	}
+	const join = `select a.did, b.did from t a join t b on a.vs = b.vs where b.did in (0, 1, 2)`
+	plan = explainPlan(t, e, `explain analyze `+join)
+	if !strings.Contains(plan, "par-probe: mode=dict-codes") {
+		t.Errorf("string self-join did not probe partitions in code space:\n%s", plan)
+	}
+	got := fmt.Sprint(mustExec(t, e, join).Rows)
+	e.Planner.DisableBatchExec = true
+	if want := fmt.Sprint(mustExec(t, e, join).Rows); got != want {
+		t.Errorf("code-space probe with a filtered build side: %s, want %s", clip(got), clip(want))
 	}
 }
 
@@ -316,6 +351,7 @@ func TestBatchExecMetrics(t *testing.T) {
 func TestBatchExecPrepared(t *testing.T) {
 	e := newBatchEngine(t)
 	e.Planner.DisableParallelScan = true
+	e.Planner.ParallelDegree = 1
 	ps, err := e.Prepare(`select vs, count(*) from t where vn between ? and ? group by vs order by vs`)
 	if err != nil {
 		t.Fatal(err)

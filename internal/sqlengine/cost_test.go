@@ -168,6 +168,9 @@ func TestExplainEstRowsAccuracy(t *testing.T) {
 	// pushed row-at-a-time vector filters
 	e.Planner.DisableVectorizedScan = true
 	e.Planner.DisableVectorFilter = true
+	// and serial: on more than one core a ParallelScan would absorb
+	// the Filter
+	e.Planner.ParallelDegree = 1
 	r := mustExec(t, e, `explain select did from d where vs = 's07' and vn >= 0`)
 	var scanEst, filterEst int64
 	for _, row := range r.Rows {

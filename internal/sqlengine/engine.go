@@ -774,7 +774,6 @@ func (e *Engine) planSelectPushed(stmt *SelectStmt, env *planEnv, pushed []Expr)
 			}
 		}
 	}
-	whereOrig := where
 
 	// 3. referenced-column analysis for virtual-column pruning
 	referenced, hasStar := collectReferenced(stmt)
@@ -782,40 +781,34 @@ func (e *Engine) planSelectPushed(stmt *SelectStmt, env *planEnv, pushed []Expr)
 		referenced[c.Name] = true
 	}
 
-	// 4. FROM (with columnar predicate pushdown for single-table scans
-	// over an attached vector store, §5.2.1, view predicate pushdown
-	// and JSON_EXISTS prefilters on JSON_TABLE, §6.3)
+	// 4. FROM. A single table or view takes WHERE through its access
+	// path (index postings, vector kernels over an attached IMC store,
+	// §5.2.1; view predicate pushdown, §6.3); a join tree pushes each
+	// single-input conjunct into that input's access path. Several FROM
+	// items compose as cross joins and lateral JSON_TABLEs, with
+	// JSON_EXISTS prefilters on the trailing JSON_TABLE (§6.3).
+	fp := &fromPlan{env: env, referenced: referenced, hasStar: hasStar, cc: cc}
 	var src rowSource
-	if scan, residual, ok := e.tryIndexScan(stmt, where, env, referenced, hasStar); ok && !e.Planner.DisableIndexScan {
-		src = scan
-		where = residual
-		// cost-based access-path arbitration: when the postings are
-		// estimated to cover a large table fraction and a vectorized
-		// scan is available, the sparse row-id list loses its point —
-		// prefer the columnar kernels. Both paths return the same rows
-		// in ascending row-id order.
-		if costOn {
-			if sel, known := cc.indexScanSelectivity(whereOrig, residual); known && sel > costIndexMaxSel {
-				if vscan, vres, vok := e.tryVectorizedScan(stmt, whereOrig, env, referenced, hasStar); vok && !e.Planner.DisableVectorFilter {
-					src = vscan
-					where = vres
-					mCostIndexSkips.Inc()
-				}
-			}
+	var err error
+	var only FromItem
+	if len(stmt.From) == 1 {
+		only = stmt.From[0]
+	}
+	switch t := only.(type) {
+	case *TableRef:
+		src, where, err = e.accessPath(t, where, fp)
+	case *JoinRef:
+		var kept []Expr
+		var conjs []Expr
+		if where != nil {
+			conjs = splitAnd(where)
 		}
-	} else if scan, residual, ok := e.tryVectorizedScan(stmt, where, env, referenced, hasStar); ok && !e.Planner.DisableVectorFilter {
-		src = scan
-		where = residual
-	} else if inner, residual, ok, err := e.tryViewPushdown(stmt, where, env); ok || err != nil {
-		if err != nil {
-			return nil, nil, err
-		}
-		src = inner
-		where = residual
-	} else {
+		src, _, kept, err = e.planJoinRef(t, nil, conjs, fp)
+		where = joinAnd(kept)
+	default:
 		var jtOp *jsonTableOp
 		for _, f := range stmt.From {
-			s, lateral, err := e.buildFrom(f, src, env, referenced, hasStar, cc)
+			s, lateral, err := e.buildFrom(f, src, fp)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -840,23 +833,15 @@ func (e *Engine) planSelectPushed(stmt *SelectStmt, env *planEnv, pushed []Expr)
 			attachPrefilters(jtOp, where)
 		}
 	}
+	if err != nil {
+		return nil, nil, err
+	}
 	if src == nil {
 		return nil, nil, fmt.Errorf("sql: empty FROM clause")
 	}
-	// stamp the scan's est-rows with base rows x consumed-conjunct
-	// selectivity while the pushed-down conjuncts are still in hand
-	if scan, ok := src.(*tableScan); ok {
-		cc.setScanEstimate(scan, whereOrig, where)
-	}
 
-	// 5. WHERE (residual after pushdown). A bare scan over a large
-	// enough table upgrades to a parallel partitioned scan that absorbs
-	// the residual filter into its workers.
-	if par := e.parallelizeScan(src, where, env); par != nil {
-		src = par
-	} else if where != nil {
-		src = &filterOp{in: src, pred: where, env: env}
-	}
+	// 5. WHERE (residual after pushdown)
+	src = e.filterStep(src, where, env)
 
 	// 5. aggregation
 	var aggs []*FuncCall
@@ -1050,25 +1035,111 @@ func enableBatchExec(src rowSource) {
 	}
 }
 
-// tryVectorizedScan handles the single-table case with an attached
-// vector-filter source: WHERE conjuncts over vector-backed columns
-// compile to per-row vector predicates applied before row
+// fromPlan is the per-statement state every FROM item is planned
+// with: the execution environment, the referenced-column analysis that
+// prunes virtual-column evaluation, and the cost context.
+type fromPlan struct {
+	env        *planEnv
+	referenced map[string]bool
+	hasStar    bool
+	cc         *costCtx
+}
+
+// newScan builds a scan of tab that evaluates only the columns the
+// statement references (all visible ones under a star projection).
+func (fp *fromPlan) newScan(e *Engine, tab *store.Table, alias string, samplePct float64) *tableScan {
+	needed := make(map[string]bool)
+	for _, c := range tab.Columns() {
+		needed[c.Name] = fp.referenced[c.Name] || (fp.hasStar && !c.Hidden)
+	}
+	return newTableScan(tab, alias, needed, e.imcSource(tab.Name), samplePct, fp.env)
+}
+
+// refAlias is the name a FROM table reference's columns are qualified
+// by: its alias, else the lower-cased table name.
+func refAlias(tr *TableRef) string {
+	if tr.Alias != "" {
+		return tr.Alias
+	}
+	return strings.ToLower(tr.Name)
+}
+
+// accessPath is the one access-path ladder for a table reference and
+// the WHERE conjuncts that reach it — the whole WHERE of a single-table
+// query, or the conjuncts pushed into one join input. In order: search
+// index postings, with cost-based arbitration against the vectorized
+// scan; vector kernels with zone maps over an attached IMC store;
+// view predicate pushdown; a plain scan. The chosen scan carries its
+// est-rows, and the conjuncts it did not consume come back as the
+// residual for the caller's filter step.
+func (e *Engine) accessPath(tr *TableRef, where Expr, fp *fromPlan) (rowSource, Expr, error) {
+	if where == nil {
+		src, _, err := e.buildFrom(tr, nil, fp)
+		return src, nil, err
+	}
+	cc := fp.cc
+	var src rowSource
+	residual := where
+	if scan, res, ok := e.tryIndexScan(tr, where, fp); ok && !e.Planner.DisableIndexScan {
+		src, residual = scan, res
+		// cost-based access-path arbitration: when the postings are
+		// estimated to cover a large table fraction and a vectorized
+		// scan is available, the sparse row-id list loses its point —
+		// prefer the columnar kernels. Both paths return the same rows
+		// in ascending row-id order.
+		if !e.Planner.DisableCostBasedPlanner {
+			if sel, known := cc.indexScanSelectivity(where, res); known && sel > costIndexMaxSel {
+				if vscan, vres, vok := e.tryVectorizedScan(tr, where, fp); vok && !e.Planner.DisableVectorFilter {
+					src, residual = vscan, vres
+					mCostIndexSkips.Inc()
+				}
+			}
+		}
+	} else if scan, res, ok := e.tryVectorizedScan(tr, where, fp); ok && !e.Planner.DisableVectorFilter {
+		src, residual = scan, res
+	} else if inner, res, ok, err := e.tryViewPushdown(tr, where, fp.env); ok || err != nil {
+		if err != nil {
+			return nil, nil, err
+		}
+		src, residual = inner, res
+	} else if src, _, err = e.buildFrom(tr, nil, fp); err != nil {
+		return nil, nil, err
+	}
+	// stamp the scan's est-rows with base rows x consumed-conjunct
+	// selectivity while the pushed-down conjuncts are still in hand
+	if scan, ok := src.(*tableScan); ok {
+		cc.setScanEstimate(scan, where, residual)
+	}
+	return src, residual, nil
+}
+
+// filterStep applies a residual predicate above an access path. A bare
+// scan over a large enough table upgrades to a parallel partitioned
+// scan that absorbs the residual into its workers.
+func (e *Engine) filterStep(src rowSource, where Expr, env *planEnv) rowSource {
+	if par := e.parallelizeScan(src, where, env); par != nil {
+		return par
+	}
+	if where != nil {
+		return &filterOp{in: src, pred: where, env: env}
+	}
+	return src
+}
+
+// tryVectorizedScan handles a table reference with an attached
+// vector-filter source: conjuncts over vector-backed columns compile
+// to chunk kernels (or per-row vector predicates) applied before row
 // materialization; the remaining conjuncts are returned as the
 // residual filter.
-func (e *Engine) tryVectorizedScan(stmt *SelectStmt, where Expr, env *planEnv, referenced map[string]bool, hasStar bool) (rowSource, Expr, bool) {
-	if len(stmt.From) != 1 || where == nil {
+func (e *Engine) tryVectorizedScan(tr *TableRef, where Expr, fp *fromPlan) (rowSource, Expr, bool) {
+	if tr.SamplePct > 0 {
 		return nil, nil, false
 	}
-	tr, ok := stmt.From[0].(*TableRef)
-	if !ok || tr.SamplePct > 0 {
-		return nil, nil, false
-	}
-	name := strings.ToLower(tr.Name)
-	tab, ok := e.cat.Table(name)
+	tab, ok := e.cat.Table(strings.ToLower(tr.Name))
 	if !ok {
 		return nil, nil, false
 	}
-	sub := e.imcSource(name)
+	sub := e.imcSource(tab.Name)
 	vfs, ok := sub.(VectorFilterSource)
 	if !ok {
 		return nil, nil, false
@@ -1111,15 +1182,7 @@ func (e *Engine) tryVectorizedScan(stmt *SelectStmt, where Expr, env *planEnv, r
 	if len(kernels)+len(filters)+len(specs) == 0 {
 		return nil, nil, false
 	}
-	alias := tr.Alias
-	if alias == "" {
-		alias = name
-	}
-	needed := make(map[string]bool)
-	for _, c := range tab.Columns() {
-		needed[c.Name] = referenced[c.Name] || (hasStar && !c.Hidden)
-	}
-	scan := newTableScan(tab, alias, needed, sub, 0, env)
+	scan := fp.newScan(e, tab, refAlias(tr), 0)
 	scan.vecFilters = filters
 	scan.vecSpecs = specs
 	if useBatch {
@@ -1182,20 +1245,15 @@ func specHasParam(spec vecFilterSpec) bool {
 // touches only those rows and the conjunct is satisfied by
 // construction. Only plain field-chain paths qualify — they match the
 // index's path vocabulary exactly.
-func (e *Engine) tryIndexScan(stmt *SelectStmt, where Expr, env *planEnv, referenced map[string]bool, hasStar bool) (rowSource, Expr, bool) {
-	if len(stmt.From) != 1 || where == nil {
+func (e *Engine) tryIndexScan(tr *TableRef, where Expr, fp *fromPlan) (rowSource, Expr, bool) {
+	if tr.SamplePct > 0 {
 		return nil, nil, false
 	}
-	tr, ok := stmt.From[0].(*TableRef)
-	if !ok || tr.SamplePct > 0 {
-		return nil, nil, false
-	}
-	name := strings.ToLower(tr.Name)
-	tab, ok := e.cat.Table(name)
+	tab, ok := e.cat.Table(strings.ToLower(tr.Name))
 	if !ok {
 		return nil, nil, false
 	}
-	indexes := e.indexesFor(name)
+	indexes := e.indexesFor(tab.Name)
 	if len(indexes) == 0 {
 		return nil, nil, false
 	}
@@ -1220,15 +1278,7 @@ func (e *Engine) tryIndexScan(stmt *SelectStmt, where Expr, env *planEnv, refere
 	if len(getters) == 0 {
 		return nil, nil, false
 	}
-	alias := tr.Alias
-	if alias == "" {
-		alias = name
-	}
-	needed := make(map[string]bool)
-	for _, col := range tab.Columns() {
-		needed[col.Name] = referenced[col.Name] || (hasStar && !col.Hidden)
-	}
-	scan := newTableScan(tab, alias, needed, e.imcSource(name), 0, env)
+	scan := fp.newScan(e, tab, refAlias(tr), 0)
 	// postings are read at Open, per execution, so a cached plan picks
 	// up rows inserted after planning
 	scan.rowIDsFn = func() []int {
@@ -1432,16 +1482,12 @@ func substituteOutputCols(p Expr, stmt *SelectStmt) (Expr, error) {
 	return clone(p)
 }
 
-// tryViewPushdown handles `FROM <view> WHERE ...`: conjuncts that only
+// tryViewPushdown handles a view reference: conjuncts that only
 // reference the view's output columns are pushed into the view's plan
 // (where the JSON_EXISTS prefilter and vector pushdowns can act on
 // them); the rest remain as the residual filter.
-func (e *Engine) tryViewPushdown(stmt *SelectStmt, where Expr, env *planEnv) (rowSource, Expr, bool, error) {
-	if len(stmt.From) != 1 || where == nil {
-		return nil, nil, false, nil
-	}
-	tr, ok := stmt.From[0].(*TableRef)
-	if !ok || tr.SamplePct > 0 {
+func (e *Engine) tryViewPushdown(tr *TableRef, where Expr, env *planEnv) (rowSource, Expr, bool, error) {
+	if tr.SamplePct > 0 {
 		return nil, nil, false, nil
 	}
 	name := strings.ToLower(tr.Name)
@@ -1461,10 +1507,7 @@ func (e *Engine) tryViewPushdown(stmt *SelectStmt, where Expr, env *planEnv) (ro
 			return nil, nil, false, nil
 		}
 	}
-	alias := tr.Alias
-	if alias == "" {
-		alias = name
-	}
+	alias := refAlias(tr)
 	viewCols := make(map[string]bool, len(vd.names))
 	for _, n := range vd.names {
 		viewCols[n] = true
@@ -1499,9 +1542,20 @@ func (e *Engine) tryViewPushdown(stmt *SelectStmt, where Expr, env *planEnv) (ro
 	return newAliasWrap(inner, alias, vd.names), residual, true, nil
 }
 
-// pushableShape limits pushdown to deterministic scalar predicates.
+// pushableShape limits pushdown — into views and into join inputs —
+// to deterministic scalar predicates: comparisons, IN, BETWEEN, IS
+// NULL and LIKE over columns, constants, and SQL/JSON operators
+// applied to a column.
 func pushableShape(c Expr) bool {
 	switch t := c.(type) {
+	case *JSONValueExpr:
+		return isColumn(t.Arg)
+	case *JSONExistsExpr:
+		return isColumn(t.Arg)
+	case *JSONQueryExpr:
+		return isColumn(t.Arg)
+	case *JSONTextContainsExpr:
+		return isColumn(t.Arg)
 	case *BinOp:
 		switch t.Op {
 		case "=", "!=", "<", "<=", ">", ">=", "and", "or":
@@ -1528,6 +1582,11 @@ func pushableShape(c Expr) bool {
 		return pushableShape(t.X) && pushableShape(t.Pattern)
 	}
 	return false
+}
+
+func isColumn(x Expr) bool {
+	_, ok := x.(*ColRef)
+	return ok
 }
 
 // stripQualifier rebuilds the conjunct with unqualified column refs so
@@ -1571,22 +1630,16 @@ func stripQualifier(c Expr, alias string) Expr {
 	return clone(c)
 }
 
-// buildFrom builds a row source for one FROM item. lateral=true means
-// the returned source already incorporates the accumulated left side.
-func (e *Engine) buildFrom(f FromItem, left rowSource, env *planEnv, referenced map[string]bool, hasStar bool, cc *costCtx) (rowSource, bool, error) {
+// buildFrom builds a row source for one FROM item with nothing pushed
+// into it. lateral=true means the returned source already incorporates
+// the accumulated left side.
+func (e *Engine) buildFrom(f FromItem, left rowSource, fp *fromPlan) (rowSource, bool, error) {
 	switch t := f.(type) {
 	case *TableRef:
-		alias := t.Alias
-		if alias == "" {
-			alias = strings.ToLower(t.Name)
-		}
+		alias := refAlias(t)
 		name := strings.ToLower(t.Name)
 		if tab, ok := e.cat.Table(name); ok {
-			needed := make(map[string]bool)
-			for _, c := range tab.Columns() {
-				needed[c.Name] = referenced[c.Name] || (hasStar && !c.Hidden)
-			}
-			return newTableScan(tab, alias, needed, e.imcSource(name), t.SamplePct, env), false, nil
+			return fp.newScan(e, tab, alias, t.SamplePct), false, nil
 		}
 		vd, ok := e.view(name)
 		if !ok {
@@ -1595,32 +1648,138 @@ func (e *Engine) buildFrom(f FromItem, left rowSource, env *planEnv, referenced 
 		if t.SamplePct > 0 {
 			return nil, false, fmt.Errorf("sql: SAMPLE is not supported on views")
 		}
-		inner, _, err := e.planSelect(vd.stmt, env)
+		inner, _, err := e.planSelect(vd.stmt, fp.env)
 		if err != nil {
 			return nil, false, err
 		}
 		return newAliasWrap(inner, alias, vd.names), false, nil
 	case *SubqueryRef:
-		inner, names, err := e.planSelect(t.Query, env)
+		inner, names, err := e.planSelect(t.Query, fp.env)
 		if err != nil {
 			return nil, false, err
 		}
 		return newAliasWrap(inner, t.Alias, names), false, nil
 	case *JSONTableRef:
-		return newJSONTableOp(left, t, env), true, nil
+		return newJSONTableOp(left, t, fp.env), true, nil
 	case *JoinRef:
-		l, lLateral, err := e.buildFrom(t.Left, left, env, referenced, hasStar, cc)
-		if err != nil {
-			return nil, false, err
-		}
-		r, _, err := e.buildFrom(t.Right, nil, env, referenced, hasStar, cc)
-		if err != nil {
-			return nil, false, err
-		}
-		join, err := e.planJoin(l, r, t, env, cc)
-		return join, lLateral, err
+		join, lateral, _, err := e.planJoinRef(t, left, nil, fp)
+		return join, lateral, err
 	}
 	return nil, false, fmt.Errorf("sql: unsupported FROM item %T", f)
+}
+
+// planJoinRef plans a join tree with WHERE conjuncts pushed into its
+// inputs (docs/OPTIMIZER.md, "Join-input pushdown"). A conjunct goes
+// into an input when it has a pushable shape, every column it
+// references resolves on that input and none on the other, and the
+// input is not the null-supplying side of a LEFT JOIN; there it runs
+// through the input's access path, recursively down nested joins. The
+// conjuncts no input takes come back as kept, to be applied above the
+// join unchanged. Pushdown only removes rows the filter above the join
+// would have removed, and probe order is untouched, so the join's
+// output rows and their order are exactly those of the unpushed plan.
+func (e *Engine) planJoinRef(j *JoinRef, left rowSource, conjs []Expr, fp *fromPlan) (src rowSource, lateral bool, kept []Expr, err error) {
+	var lc, rc []Expr
+	if len(conjs) > 0 {
+		ls, lok := e.fromScope(j.Left)
+		rs, rok := e.fromScope(j.Right)
+		for _, c := range conjs {
+			switch {
+			case !lok || !rok || !pushableShape(c):
+				kept = append(kept, c)
+			case resolvesOnly(c, ls, rs):
+				lc = append(lc, c)
+			case !j.LeftOuter && resolvesOnly(c, rs, ls):
+				rc = append(rc, c)
+			default:
+				kept = append(kept, c)
+			}
+		}
+	}
+	l, lateral, err := e.planInput(j.Left, left, lc, fp)
+	if err != nil {
+		return nil, false, nil, err
+	}
+	r, _, err := e.planInput(j.Right, nil, rc, fp)
+	if err != nil {
+		return nil, false, nil, err
+	}
+	src, err = e.planJoin(l, r, j, fp.env, fp.cc)
+	return src, lateral, kept, err
+}
+
+// planInput builds one join input with the conjuncts pushed into it:
+// a table or view through accessPath, a nested join through
+// planJoinRef; a residual the input does not consume goes through the
+// same filter step as a single-table residual. An input that consumed
+// every conjunct stays a bare scan, the shape the code-space join
+// probes. Conjuncts only reach inputs fromScope can see, so the
+// lateral case never carries any.
+func (e *Engine) planInput(f FromItem, left rowSource, conjs []Expr, fp *fromPlan) (rowSource, bool, error) {
+	if len(conjs) == 0 {
+		return e.buildFrom(f, left, fp)
+	}
+	var src rowSource
+	var residual Expr
+	var err error
+	switch t := f.(type) {
+	case *TableRef:
+		src, residual, err = e.accessPath(t, joinAnd(conjs), fp)
+	case *JoinRef:
+		var kept []Expr
+		src, _, kept, err = e.planJoinRef(t, nil, conjs, fp)
+		residual = joinAnd(kept)
+	default:
+		return nil, false, fmt.Errorf("sql: cannot push predicates into %T", f)
+	}
+	if err != nil || residual == nil {
+		return src, false, err
+	}
+	return e.filterStep(src, residual, fp.env), false, nil
+}
+
+// fromScope is the schema a FROM item will expose, derived without
+// planning it: base tables, views, and join trees over them. ok is
+// false for anything else (subqueries, JSON_TABLE), and the planner
+// then pushes nothing across that join.
+func (e *Engine) fromScope(f FromItem) (Schema, bool) {
+	switch t := f.(type) {
+	case *TableRef:
+		alias := refAlias(t)
+		name := strings.ToLower(t.Name)
+		if tab, ok := e.cat.Table(name); ok {
+			return tableSchema(tab, alias), true
+		}
+		if vd, ok := e.view(name); ok {
+			s := make(Schema, len(vd.names))
+			for i, n := range vd.names {
+				s[i] = ColMeta{Table: alias, Name: n}
+			}
+			return s, true
+		}
+	case *JoinRef:
+		l, lok := e.fromScope(t.Left)
+		r, rok := e.fromScope(t.Right)
+		return append(l, r...), lok && rok
+	}
+	return nil, false
+}
+
+// resolvesOnly reports whether the conjunct resolves on the schema on
+// (resolvesOn) and none of its column references names a column of
+// other.
+func resolvesOnly(c Expr, on, other Schema) bool {
+	if !resolvesOn(on, c) {
+		return false
+	}
+	for _, cr := range exprColRefs(c) {
+		for _, m := range other {
+			if m.Name == cr.Name && (cr.Table == "" || m.Table == cr.Table) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // planJoin picks a hash join when the ON condition contains

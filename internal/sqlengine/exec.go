@@ -685,15 +685,29 @@ func (f *filterOp) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		f.ctx.row = row
-		v, err := evalExpr(f.ctx, f.pred)
+		keep, err := f.keep(row)
 		if err != nil {
 			return nil, false, err
 		}
-		if truthy(v) {
+		if keep {
 			return row, true, nil
 		}
 	}
+}
+
+// keep evaluates the filter predicate on one row. A nil filter keeps
+// every row, so code-space join inputs with an optional pushed-down
+// filter need no branch.
+func (f *filterOp) keep(row []jsondom.Value) (bool, error) {
+	if f == nil {
+		return true, nil
+	}
+	f.ctx.row = row
+	v, err := evalExpr(f.ctx, f.pred)
+	if err != nil {
+		return false, err
+	}
+	return truthy(v), nil
 }
 
 func (f *filterOp) opName() string          { return "Filter" }

@@ -415,13 +415,12 @@ func (f *filterOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 		}
 		for i := 0; i < in.Len(); i++ {
 			row := in.Row(i)
-			f.ctx.row = row
-			v, err := evalExpr(f.ctx, f.pred)
+			keep, err := f.keep(row)
 			if err != nil {
 				putBatch(out)
 				return nil, err
 			}
-			if truthy(v) {
+			if keep {
 				out.add(row)
 			}
 		}
@@ -866,10 +865,15 @@ func (sp *aggFastSpec) result(st *fastAggState) jsondom.Value {
 // vectors, or two string vectors sharing one dictionary). The build
 // side stores materialized rows under uint64 keys; the probe side
 // materializes a left row only when it matches (or, under left-outer
-// semantics, misses).
+// semantics, misses). A side may carry a row filter pushed down from
+// WHERE (lfilter/rfilter, nil otherwise): it is checked on every
+// materialized build row, and on a probe row once its key hit (or
+// outer-join miss) has materialized it — so the filter drops exactly
+// the rows it would have dropped below the join.
 type joinFast struct {
 	h                 *hashJoin
 	lscan, rscan      *tableScan
+	lfilter, rfilter  *filterOp
 	lvec, rvec        *imc.Vector
 	table             map[uint64][][]jsondom.Value
 	pending           [][]jsondom.Value
@@ -883,9 +887,9 @@ type joinFast struct {
 // inputs are open; nil means the plan shape does not qualify and the
 // generic path runs.
 func newJoinFast(h *hashJoin) *joinFast {
-	lscan, okL := h.left.(*tableScan)
-	rscan, okR := h.right.(*tableScan)
-	if !okL || !okR || !lscan.idCapable() || !rscan.idCapable() {
+	lscan, lfilter, okL := fastInput(h.left)
+	rscan, rfilter, okR := fastInput(h.right)
+	if !okL || !okR {
 		return nil
 	}
 	if len(h.leftKeys) != 1 || len(h.rightKeys) != 1 {
@@ -909,7 +913,24 @@ func newJoinFast(h *hashJoin) *joinFast {
 	if !lvec.IsNumber && !lvec.SameDict(rvec) {
 		return nil
 	}
-	return &joinFast{h: h, lscan: lscan, rscan: rscan, lvec: lvec, rvec: rvec}
+	return &joinFast{h: h, lscan: lscan, rscan: rscan, lfilter: lfilter, rfilter: rfilter, lvec: lvec, rvec: rvec}
+}
+
+// fastInput unwraps a join input the code-space paths can drive by row
+// id: an id-capable scan, bare or directly under a filter (a WHERE
+// conjunct pushed into the input that the scan could not absorb). The
+// filter is returned for the caller to check on materialized rows.
+// Valid only after Open.
+func fastInput(src rowSource) (*tableScan, *filterOp, bool) {
+	var filter *filterOp
+	if f, ok := src.(*filterOp); ok {
+		filter, src = f, f.in
+	}
+	scan, ok := src.(*tableScan)
+	if !ok || !scan.idCapable() {
+		return nil, nil, false
+	}
+	return scan, filter, true
 }
 
 // keyAt reads the join key for one row id in code space.
@@ -946,6 +967,13 @@ func (jf *joinFast) build(ec *ExecCtx) error {
 			return err
 		}
 		jf.rscan.rowsOut++
+		keep, err := jf.rfilter.keep(row)
+		if err != nil {
+			return err
+		}
+		if !keep {
+			continue
+		}
 		n := rowBytes(row) + 8
 		if err := ec.grow(n); err != nil {
 			return err
@@ -1001,15 +1029,22 @@ func (jf *joinFast) next(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 		if okKey {
 			matches = jf.table[key]
 		}
+		if len(matches) == 0 && !h.leftOuter {
+			continue
+		}
+		row, _, err := jf.lscan.materialize(id, jf.lscan.rows[id])
+		if err != nil {
+			return nil, false, err
+		}
+		jf.lscan.rowsOut++
+		keep, err := jf.lfilter.keep(row)
+		if err != nil {
+			return nil, false, err
+		}
+		if !keep {
+			continue
+		}
 		if len(matches) == 0 {
-			if !h.leftOuter {
-				continue
-			}
-			row, _, err := jf.lscan.materialize(id, jf.lscan.rows[id])
-			if err != nil {
-				return nil, false, err
-			}
-			jf.lscan.rowsOut++
 			out := h.arena.alloc(len(row) + len(h.right.Schema()))
 			copy(out, row)
 			for i := len(row); i < len(out); i++ {
@@ -1018,11 +1053,6 @@ func (jf *joinFast) next(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 			return out, true, nil
 		}
 		jf.probeHits++
-		row, _, err := jf.lscan.materialize(id, jf.lscan.rows[id])
-		if err != nil {
-			return nil, false, err
-		}
-		jf.lscan.rowsOut++
 		jf.leftRow = row
 		jf.pending, jf.pi = matches, 0
 	}

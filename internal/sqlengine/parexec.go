@@ -819,8 +819,8 @@ func (h *hashJoin) parFastTable(ec *ExecCtx, pp *parPipe) (bool, error) {
 	if !h.batch || len(pp.chain) != 0 || pp.filter != nil {
 		return false, nil
 	}
-	rscan, okR := h.right.(*tableScan)
-	if !okR || !rscan.idCapable() {
+	rscan, rfilter, okR := fastInput(h.right)
+	if !okR {
 		return false, nil
 	}
 	if len(h.leftKeys) != 1 || len(h.rightKeys) != 1 {
@@ -852,7 +852,7 @@ func (h *hashJoin) parFastTable(ec *ExecCtx, pp *parPipe) (bool, error) {
 		return false, nil
 	}
 	// build once from the open right scan — identical to joinFast.build
-	jf := &joinFast{h: h, rscan: rscan, rvec: rvec, lvec: lvec}
+	jf := &joinFast{h: h, rscan: rscan, rfilter: rfilter, rvec: rvec, lvec: lvec}
 	if err := jf.build(ec); err != nil {
 		return false, err
 	}

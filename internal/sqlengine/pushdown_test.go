@@ -2,13 +2,19 @@ package sqlengine
 
 // End-to-end tests for the planner's pushdown machinery: vectorized
 // scans over in-memory vectors, JSON_EXISTS prefilters in all
-// translatable shapes, and view predicate pushdown.
+// translatable shapes, view predicate pushdown, and WHERE conjuncts
+// pushed into join inputs.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/imc"
 	"repro/internal/jsondom"
+	"repro/internal/jsontext"
+	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 // newVCEngine loads numbered docs with a number VC and a string VC,
@@ -112,6 +118,8 @@ func TestPrefilterShapesThroughView(t *testing.T) {
 		{`select name from items_v where name = ?`, 1},
 		// no prefilterable shape (function call) still works
 		{`select name from items_v where length(name) = 5`, 3},
+		// the view as a join input: the conjunct is pushed into it
+		{`select v.name from items_v v join po p on v.did = p.did where v.price > 300`, 2},
 	}
 	runAll := func(label string) {
 		t.Helper()
@@ -129,6 +137,118 @@ func TestPrefilterShapesThroughView(t *testing.T) {
 	runAll("optimized")
 	e.Planner.DisablePrefilter = true
 	runAll("no-prefilter")
+}
+
+// TestJoinPushdownNoBenchQ11 plans NOBENCH Q11 in VC-IMC mode: the
+// range conjunct on a.$.num, rewritten onto the jdoc$num vector, runs
+// as a zone-mapped batch kernel inside the join's left input, the
+// hash table is built on that small side, and no Filter is left above
+// the join.
+func TestJoinPushdownNoBenchQ11(t *testing.T) {
+	const n = 4 * imc.ChunkSize
+	e := New()
+	mustExec(t, e, `create table nobench (did number, jdoc varchar2(0) check (jdoc is json))`)
+	tab, _ := e.Catalog().Table("nobench")
+	for i := 0; i < n; i++ {
+		doc := jsondom.String(jsontext.SerializeString(workload.GenNoBench(1, i)))
+		if _, err := tab.Insert(store.Row{jsondom.NumberFromInt(int64(i)), doc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q11 := workload.NoBenchQueries("nobench", "jdoc", n)[10]
+	textCount := fmt.Sprint(mustExec(t, e, q11).Rows)
+
+	mustExec(t, e, `alter table nobench add virtual column jdoc$num as json_value(jdoc, '$.num' returning number)`)
+	attachIMC(t, e, "nobench", "jdoc$num")
+	e.Planner.ParallelDegree = 1
+	plan := explainPlan(t, e, "explain analyze "+q11)
+	lines := strings.Split(plan, "\n")
+	join := -1
+	for i, l := range lines {
+		if strings.Contains(l, "HashJoin") {
+			join = i
+			break
+		}
+	}
+	if join < 0 || !strings.Contains(lines[join], "build=left") {
+		t.Fatalf("want a build=left hash join:\n%s", plan)
+	}
+	if strings.Contains(strings.Join(lines[:join], "\n"), "Filter") {
+		t.Errorf("a Filter stayed above the join:\n%s", plan)
+	}
+	// the left (build) input is the first child: its scan and its
+	// kernel line come before the right input's scan
+	if len(lines) < join+4 || !strings.Contains(lines[join+1], "TableScan(nobench batch vec-filters=1)") ||
+		!strings.Contains(plan, "vec[jdoc$num between]") {
+		t.Errorf("build input is not the vectorized range scan:\n%s", plan)
+	}
+	if !strings.Contains(plan, "pruned=3") {
+		t.Errorf("zone maps did not prune the three chunks outside the range:\n%s", plan)
+	}
+	if got := fmt.Sprint(mustExec(t, e, q11).Rows); got != textCount {
+		t.Errorf("VC-IMC Q11 = %s, text evaluation = %s", got, textCount)
+	}
+}
+
+// TestJoinPushdownOuterJoin: a conjunct over the null-supplying side
+// of a LEFT JOIN stays in a Filter above the join (pushing it would
+// drop the NULL-padded rows it is meant to select), while a conjunct
+// over the preserved side is pushed into that side's input.
+func TestJoinPushdownOuterJoin(t *testing.T) {
+	e := newVCEngine(t)
+	e.Planner.ParallelDegree = 1
+	sql := `select a.did from t a left join t b on a.vn = b.vn + 45 where b.did is null and a.did < 10 order by a.did`
+	plan := explainPlan(t, e, "explain "+sql)
+	filter, join := strings.Index(plan, "Filter"), strings.Index(plan, "HashJoin(left-outer)")
+	if filter < 0 || join < 0 || filter > join {
+		t.Fatalf("the null-side conjunct is not filtered above the join:\n%s", plan)
+	}
+	if !strings.Contains(plan[join:], "Filter") {
+		t.Errorf("the preserved-side conjunct was not pushed into the left input:\n%s", plan)
+	}
+	// a.did 0..9 all miss (b.vn + 45 >= 45 never equals a.vn < 10)
+	if got := len(mustExec(t, e, sql).Rows); got != 10 {
+		t.Errorf("anti-join returned %d rows, want 10", got)
+	}
+}
+
+// TestJoinPushdownBindParams: pushed conjuncts carrying bind
+// parameters — one compiled into a vector kernel at Open, one a row
+// filter — return the right rows for two different binds, through a
+// prepared statement and through the plan cache.
+func TestJoinPushdownBindParams(t *testing.T) {
+	e := newVCEngine(t)
+	// vn = did and vs cycles every 5 docs, so a.did in [lo, hi] joins
+	// every b.did < maxB with the same residue mod 5
+	want := func(lo, hi, maxB int) string {
+		var rows [][]jsondom.Value
+		for a := lo; a <= hi; a++ {
+			for b := a % 5; b < maxB; b += 5 {
+				rows = append(rows, []jsondom.Value{jsondom.NumberFromInt(int64(a)), jsondom.NumberFromInt(int64(b))})
+			}
+		}
+		return fmt.Sprint(rows)
+	}
+	const sql = `select a.did, b.did from t a join t b on a.vs = b.vs where a.vn between ? and ? and b.did < ? order by a.did, b.did`
+	ps, err := e.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][3]int{{10, 14, 20}, {40, 49, 7}} {
+		args := []jsondom.Value{jsondom.NumberFromInt(int64(c[0])), jsondom.NumberFromInt(int64(c[1])), jsondom.NumberFromInt(int64(c[2]))}
+		r, err := ps.Run(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(r.Rows); got != want(c[0], c[1], c[2]) {
+			t.Errorf("prepared %v: %s, want %s", c, clip(got), clip(want(c[0], c[1], c[2])))
+		}
+		// literal text: the second shape instantiates from the plan cache
+		lit := fmt.Sprintf(`select a.did, b.did from t a join t b on a.vs = b.vs where a.vn between %d and %d and b.did < %d order by a.did, b.did`, c[0], c[1], c[2])
+		if got := fmt.Sprint(mustExec(t, e, lit).Rows); got != want(c[0], c[1], c[2]) {
+			t.Errorf("cached %v: %s, want %s", c, clip(got), clip(want(c[0], c[1], c[2])))
+		}
+	}
 }
 
 func TestMustExec(t *testing.T) {
