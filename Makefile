@@ -1,5 +1,5 @@
 # Development targets. `make check` is the pre-commit gate: build,
-# vet, the fsdmvet invariant checkers, tests, and the godoc lint.
+# gofmt, vet, the fsdmvet invariant checkers, tests, and the godoc lint.
 # `make race` runs the race detector over the whole tree plus the
 # concurrent engine packages (imc, pathengine, sqlengine parallel
 # operators); CI runs it as its own job so analyzer findings and
@@ -8,7 +8,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet lint fuzz doccheck bench-smoke bench-json check
+.PHONY: all build fmt test race vet lint fuzz doccheck bench-smoke bench-json check
 
 all: build
 
@@ -23,6 +23,11 @@ race:
 	$(GO) test -race -count=1 ./internal/imc
 	$(GO) test -race -count=1 ./internal/pathengine
 	$(GO) test -race -count=1 -run 'TestParExec|TestParallelScan' ./internal/sqlengine
+
+# Fails listing every Go source file gofmt would change.
+fmt:
+	@out=$$(gofmt -l *.go cmd examples internal perfbench); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -40,6 +45,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzEncodeRoundTrip -fuzztime=$(FUZZTIME) ./internal/oson
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/jsontext
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/jsonpath
+	$(GO) test -fuzz=FuzzPathEvalOsonVsDom -fuzztime=$(FUZZTIME) ./internal/pathengine
+	$(GO) test -fuzz=FuzzPathEvalTextVsDom -fuzztime=$(FUZZTIME) ./internal/pathengine
 	$(GO) test -fuzz=FuzzParseStatement -fuzztime=$(FUZZTIME) ./internal/sqlengine
 	$(GO) test -fuzz=FuzzSketchMerge -fuzztime=$(FUZZTIME) ./internal/dataguide
 
@@ -51,13 +58,14 @@ doccheck:
 # One iteration of every benchmark: catches bit-rot in the benchmark
 # harnesses without paying for full measurement runs. The second step
 # is the allocation-regression gate: allocs/op and B/op of the Fig3
-# OSON OLAP suite, the Fig6 OSON-IMC and VC-IMC NOBENCH suites, and the
-# prepared point query must stay within 10% of the committed
-# ALLOC_BASELINE.txt figures, so expansion, document-binding,
-# row-arena, and join-input pushdown work cannot silently erode.
+# OSON OLAP suite, the Fig5 TEXT and Fig6 OSON-IMC and VC-IMC NOBENCH
+# suites, and the prepared point query must stay within 10% of the
+# committed ALLOC_BASELINE.txt figures, so expansion, document-binding,
+# text path evaluation, row-arena, and join-input pushdown work cannot
+# silently erode.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) test -run '^$$' -bench 'Fig3OLAPOSON$$|Fig6NoBenchOsonIMC$$|Fig6NoBenchVCIMC$$|Fig5Prepared$$/^prepared$$' -benchtime 5x -benchmem . | $(GO) run ./cmd/allocguard -baseline ALLOC_BASELINE.txt
+	$(GO) test -run '^$$' -bench 'Fig3OLAPOSON$$|Fig5NoBenchText$$|Fig6NoBenchOsonIMC$$|Fig6NoBenchVCIMC$$|Fig5Prepared$$/^prepared$$' -benchtime 5x -benchmem . | $(GO) run ./cmd/allocguard -baseline ALLOC_BASELINE.txt
 
 # Benchmark run emitting the test2json machine-readable event stream
 # (one JSON object per line, ns/op and -benchmem allocs/op both
@@ -72,4 +80,4 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'Fig[356]' -benchmem -json . | tee BENCH_PR9.json
 	$(GO) test -run '^$$' -bench 'Table|Fig[4789]' -benchmem -json .
 
-check: build vet lint test doccheck bench-smoke
+check: build fmt vet lint test doccheck bench-smoke

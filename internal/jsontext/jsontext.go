@@ -17,6 +17,7 @@ import (
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/jsondom"
 )
@@ -113,13 +114,42 @@ type Parser struct {
 	// carry empty Str values (escapes are still validated). Validation
 	// passes (IS JSON) set this to avoid per-token allocations.
 	NoStrings bool
+	// alias marks buf as the bytes of an immutable string (ResetString):
+	// strings and number literals are then substrings of it, not copies.
+	alias bool
 
 	spanStart, spanEnd int
+	spanEsc            bool // the last NoStrings span holds a '\' escape
 }
 
 // NewParser returns a parser over buf. The parser does not copy buf.
 func NewParser(buf []byte) *Parser {
 	return &Parser{buf: buf, state: stateValue}
+}
+
+// Reset repoints the parser at buf, as NewParser would, keeping the
+// container stack's capacity so one parser can serve a stream of
+// documents without allocating.
+func (p *Parser) Reset(buf []byte) {
+	*p = Parser{buf: buf, stack: p.stack[:0]}
+}
+
+// ResetString is Reset over the bytes of s, read in place. Strings and
+// number literals in the events are substrings of s rather than copies
+// (escaped strings excepted), so they keep s reachable for as long as
+// they are.
+func (p *Parser) ResetString(s string) {
+	p.Reset(unsafe.Slice(unsafe.StringData(s), len(s)))
+	p.alias = true
+}
+
+// str returns b, a sub-slice of the buffer, as a string: a substring of
+// the source for a ResetString parser, a copy otherwise.
+func (p *Parser) str(b []byte) string {
+	if p.alias && len(b) > 0 {
+		return unsafe.String(&b[0], len(b))
+	}
+	return string(b)
 }
 
 // Offset returns the current byte offset, for error reporting and for
@@ -378,8 +408,18 @@ func (p *Parser) lexNumber() (string, error) {
 	if p.NoStrings {
 		return "", nil
 	}
-	return string(p.buf[start:p.pos]), nil
+	return p.str(p.buf[start:p.pos]), nil
 }
+
+// strPlain marks the bytes that stand for themselves inside a JSON
+// string: everything but the quote, the backslash, and control
+// characters.
+var strPlain = func() (t [256]bool) {
+	for c := 0x20; c < 256; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
 
 // lexString decodes a JSON string starting at the opening quote.
 func (p *Parser) lexString() (string, error) {
@@ -389,17 +429,12 @@ func (p *Parser) lexString() (string, error) {
 	p.pos++ // opening quote
 	start := p.pos
 	// fast path: no escapes, no control chars
-	for p.pos < len(p.buf) {
-		c := p.buf[p.pos]
-		if c == '"' {
-			s := string(p.buf[start:p.pos])
-			p.pos++
-			return s, nil
-		}
-		if c == '\\' || c < 0x20 {
-			break
-		}
+	for p.pos < len(p.buf) && strPlain[p.buf[p.pos]] {
 		p.pos++
+	}
+	if p.pos < len(p.buf) && p.buf[p.pos] == '"' {
+		p.pos++
+		return p.str(p.buf[start : p.pos-1]), nil
 	}
 	// slow path with escape decoding
 	var sb strings.Builder
@@ -407,12 +442,15 @@ func (p *Parser) lexString() (string, error) {
 	for p.pos < len(p.buf) {
 		c := p.buf[p.pos]
 		switch {
+		case strPlain[c]:
+			sb.WriteByte(c)
+			p.pos++
 		case c == '"':
 			p.pos++
 			return sb.String(), nil
 		case c < 0x20:
 			return "", p.errf("unescaped control character in string")
-		case c == '\\':
+		default: // '\\'
 			p.pos++
 			if p.pos >= len(p.buf) {
 				return "", p.errf("truncated escape")
@@ -445,9 +483,6 @@ func (p *Parser) lexString() (string, error) {
 				return "", p.errf("invalid escape \\%c", p.buf[p.pos])
 			}
 			p.pos++
-		default:
-			sb.WriteByte(c)
-			p.pos++
 		}
 	}
 	return "", p.errf("unterminated string")
@@ -461,41 +496,62 @@ func (p *Parser) SpanStart() int { return p.spanStart }
 // SpanEnd is the exclusive end of the last NoStrings string span.
 func (p *Parser) SpanEnd() int { return p.spanEnd }
 
+// SpanEquals reports whether the last string scanned in NoStrings mode
+// decodes to name. A span without escapes is compared in place; only
+// an escaped one is decoded, so matching a field name against the
+// keys of a document allocates nothing in the common case.
+func (p *Parser) SpanEquals(name string) bool {
+	span := p.buf[p.spanStart:p.spanEnd]
+	if !p.spanEsc {
+		return string(span) == name
+	}
+	q := Parser{buf: p.buf[p.spanStart-1 : p.spanEnd+1]}
+	s, err := q.lexString()
+	return err == nil && s == name
+}
+
 // validateString scans a string without materializing it, validating
 // escape sequences and control characters.
 func (p *Parser) validateString() error {
-	p.pos++ // opening quote
-	p.spanStart = p.pos
-	defer func() { p.spanEnd = p.pos - 1 }()
-	for p.pos < len(p.buf) {
-		c := p.buf[p.pos]
-		switch {
-		case c == '"':
-			p.pos++
+	buf, i := p.buf, p.pos+1 // past the opening quote
+	p.spanStart, p.spanEsc = i, false
+	for {
+		for i < len(buf) && strPlain[buf[i]] {
+			i++
+		}
+		if i >= len(buf) {
+			p.pos = i
+			return p.errf("unterminated string")
+		}
+		switch buf[i] {
+		case '"':
+			p.spanEnd, p.pos = i, i+1
 			return nil
-		case c < 0x20:
-			return p.errf("unescaped control character in string")
-		case c == '\\':
-			p.pos++
-			if p.pos >= len(p.buf) {
+		case '\\':
+			p.spanEsc = true
+			i++
+			if i >= len(buf) {
+				p.pos = i
 				return p.errf("truncated escape")
 			}
-			switch p.buf[p.pos] {
+			switch buf[i] {
 			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				p.pos++
+				i++
 			case 'u':
-				if _, err := p.hex4(p.pos + 1); err != nil {
+				p.pos = i
+				if _, err := p.hex4(i + 1); err != nil {
 					return err
 				}
-				p.pos += 5
+				i += 5
 			default:
-				return p.errf("invalid escape \\%c", p.buf[p.pos])
+				p.pos = i
+				return p.errf("invalid escape \\%c", buf[i])
 			}
 		default:
-			p.pos++
+			p.pos = i
+			return p.errf("unescaped control character in string")
 		}
 	}
-	return p.errf("unterminated string")
 }
 
 // lexUnicodeEscape parses the 4 hex digits after \u (pos is at 'u'),
@@ -550,7 +606,8 @@ func (p *Parser) hex4(at int) (uint32, error) {
 // first event (which must already have been read). This gives the text
 // parser the "skip navigation" ability the paper attributes to
 // length-prefixed formats only partially (§4.1): text must still scan
-// every byte.
+// every byte. The scan runs in NoStrings mode — every token is still
+// validated, nothing is materialized — and restores the caller's mode.
 func (p *Parser) SkipValue(first Event) error {
 	switch first.Kind {
 	case EvObjectStart, EvArrayStart:
@@ -558,8 +615,17 @@ func (p *Parser) SkipValue(first Event) error {
 	default:
 		return nil // scalars are already fully consumed
 	}
-	depth := 1
-	for depth > 0 {
+	noStrings := p.NoStrings
+	p.NoStrings = true
+	err := p.skipBody()
+	p.NoStrings = noStrings
+	return err
+}
+
+// skipBody consumes the rest of a container whose start event has been
+// read.
+func (p *Parser) skipBody() error {
+	for depth := 1; depth > 0; {
 		ev, err := p.Next()
 		if err != nil {
 			return err
@@ -574,6 +640,14 @@ func (p *Parser) SkipValue(first Event) error {
 		}
 	}
 	return nil
+}
+
+// ReadValue materializes the value whose first event (already read) is
+// first, consuming the rest of it. Strings are decoded regardless of
+// NoStrings, which is left off.
+func (p *Parser) ReadValue(first Event) (jsondom.Value, error) {
+	p.NoStrings = false
+	return buildValue(p, first)
 }
 
 // Parse parses a complete JSON document into a jsondom tree.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/jsondom"
 )
@@ -419,4 +420,181 @@ func TestNoStringsMode(t *testing.T) {
 		}
 	}
 	t.Fatal("invalid escape accepted in NoStrings mode")
+}
+
+func TestResetReusesParser(t *testing.T) {
+	var p Parser
+	for _, doc := range []string{`{"a":[1,{"b":2}]}`, `[true]`, `"x"`} {
+		p.Reset([]byte(doc))
+		for {
+			ev, err := p.Next()
+			if err != nil {
+				t.Fatalf("%s: %v", doc, err)
+			}
+			if ev.Kind == EvEOF {
+				break
+			}
+		}
+	}
+	// a reset clears NoStrings and any half-read state
+	p.NoStrings = true
+	p.Reset([]byte(`{"k":"v"}`))
+	if _, err := p.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if ev, err := p.Next(); err != nil || ev.Str != "k" {
+		t.Fatalf("key after Reset = %q, %v", ev.Str, err)
+	}
+}
+
+func TestResetStringAliases(t *testing.T) {
+	src := `{"name":"phone","price":12.5,"esc":"a\nb"}`
+	var p Parser
+	p.ResetString(src)
+	inSrc := func(s string) bool {
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+		at := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return at >= lo && at < lo+uintptr(len(src))
+	}
+	var got []string
+	for {
+		ev, err := p.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Kind == EvEOF {
+			break
+		}
+		if ev.Str == "" {
+			continue
+		}
+		got = append(got, ev.Str)
+		// escaped strings are decoded into fresh memory; the rest are
+		// substrings of the source
+		if want := ev.Str != "a\nb"; inSrc(ev.Str) != want {
+			t.Errorf("%q aliases the source = %v, want %v", ev.Str, !want, want)
+		}
+	}
+	want := []string{"name", "phone", "price", "12.5", "esc", "a\nb"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("strings = %q, want %q", got, want)
+	}
+}
+
+func TestSpanEquals(t *testing.T) {
+	cases := []struct {
+		doc, name string
+		want      bool
+	}{
+		{`{"abc":1}`, "abc", true},
+		{`{"abc":1}`, "ab", false},
+		{`{"abc":1}`, "abcd", false},
+		{`{"":1}`, "", true},
+		{`{"k\u0041":1}`, "kA", true},
+		{`{"k\u0041":1}`, `k\u0041`, false},
+		{`{"a\"b":1}`, `a"b`, true},
+		{`{"😀":1}`, "😀", true},
+	}
+	for _, c := range cases {
+		p := NewParser([]byte(c.doc))
+		p.NoStrings = true
+		if _, err := p.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if ev, err := p.Next(); err != nil || ev.Kind != EvKey {
+			t.Fatalf("%s: key = %v, %v", c.doc, ev.Kind, err)
+		}
+		if got := p.SpanEquals(c.name); got != c.want {
+			t.Errorf("%s: SpanEquals(%q) = %v, want %v", c.doc, c.name, got, c.want)
+		}
+	}
+}
+
+// TestSkipValueNoStrings: skipping scans without materializing (no
+// allocation), still rejects malformed tokens, and restores the
+// caller's NoStrings mode.
+func TestSkipValueNoStrings(t *testing.T) {
+	doc := []byte(`[{"k":"a long string value","n":[1.5e3,-2,"x\ty"]},"after"]`)
+	var p Parser
+	skip := func() {
+		p.Reset(doc)
+		if _, err := p.Next(); err != nil { // [
+			t.Fatal(err)
+		}
+		first, err := p.Next() // {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SkipValue(first); err != nil {
+			t.Fatal(err)
+		}
+	}
+	skip()
+	if ev, err := p.Next(); err != nil || ev.Str != "after" || p.NoStrings {
+		t.Fatalf("after skip: %q, %v, NoStrings=%v", ev.Str, err, p.NoStrings)
+	}
+	if n := testing.AllocsPerRun(50, skip); n != 0 {
+		t.Errorf("SkipValue: %.1f allocs, want 0", n)
+	}
+	for _, bad := range []string{`[{"k":"bad \q"}]`, `[{"k":01}]`, "[{\"k\":\"ctl\x01\"}]", `[{"k":1e}]`, `[{"k":"\u12"}]`} {
+		p.Reset([]byte(bad))
+		_, _ = p.Next()
+		first, _ := p.Next()
+		if err := p.SkipValue(first); err == nil {
+			t.Errorf("SkipValue accepted %s", bad)
+		}
+	}
+}
+
+func TestReadValue(t *testing.T) {
+	p := NewParser([]byte(`{"skip":"s","keep":{"a":["x",1]}}`))
+	p.NoStrings = true
+	for i := 0; i < 4; i++ { // {, key, "s", key
+		if _, err := p.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := p.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := p.ReadValue(first)
+	if err != nil || SerializeString(v) != `{"a":["x",1]}` {
+		t.Fatalf("ReadValue = %v, %v", v, err)
+	}
+}
+
+// TestStringByteClasses: for every byte value inside a string, the
+// decoding and the validating scanners agree with the JSON grammar:
+// control characters are rejected, a quote ends the string, a
+// backslash starts an escape, and every other byte stands for itself.
+func TestStringByteClasses(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		doc := []byte{'"', 'a', byte(c), 'b', '"'}
+		for _, noStrings := range []bool{false, true} {
+			p := NewParser(doc)
+			p.NoStrings = noStrings
+			ev, err := p.Next()
+			switch {
+			case c < 0x20:
+				if err == nil {
+					t.Errorf("byte %#x (NoStrings=%v): accepted", c, noStrings)
+				}
+			case c == '"':
+				// "a" then trailing b" is an error after the value
+				if err != nil || ev.Kind != EvString {
+					t.Errorf("byte %#x (NoStrings=%v): %v", c, noStrings, err)
+				}
+			case c == '\\':
+				// \b is the backspace escape
+				if err != nil || (!noStrings && ev.Str != "a\b") {
+					t.Errorf("byte %#x (NoStrings=%v): %q, %v", c, noStrings, ev.Str, err)
+				}
+			default:
+				if err != nil || (!noStrings && ev.Str != string(doc[1:4])) {
+					t.Errorf("byte %#x (NoStrings=%v): %q, %v", c, noStrings, ev.Str, err)
+				}
+			}
+		}
+	}
 }

@@ -1,4 +1,6 @@
-// Differential fuzzing of the two Tree backends: any compiled path
+// Differential fuzzing of the path engines against the DOM engine.
+//
+// The two Tree backends: any compiled path
 // evaluated over the same document must select the same value multiset
 // whether it navigates a parsed DOM or serialized OSON bytes. The
 // comparison is order-insensitive (OSON iterates objects in dictionary
@@ -7,6 +9,11 @@
 // "1"). Exists is checked against Eval on both backends as well, which
 // cross-validates the streaming existence engine against the
 // arena-based evaluation engine.
+//
+// The text engine: streaming JSON text with its hand-off to the DOM
+// engine must select what the DOM engine selects over the parsed text,
+// in the same order — duplicate keys and escaped keys included — and
+// must reject every document the parser rejects.
 
 package pathengine
 
@@ -154,6 +161,98 @@ func FuzzPathEvalOsonVsDom(f *testing.F) {
 		ot2 := NewOsonTree(od)
 		if got := Exists[oson.NodeAddr](ot2, od.Root(), c); ot2.Err() == nil && got != (len(osonNodes) > 0) {
 			t.Fatalf("path %q: oson Exists=%v but Eval selected %d", pathText, got, len(osonNodes))
+		}
+	})
+}
+
+// FuzzPathEvalTextVsDom evaluates a fuzzer-chosen path over
+// fuzzer-chosen JSON text through the text engine (event streaming with
+// a DOM hand-off) and through the DOM engine over the parsed document,
+// and requires the same values in the same order. Existence over text
+// must agree too.
+func FuzzPathEvalTextVsDom(f *testing.F) {
+	seedDocs := []string{
+		`{"a":1,"b":"x"}`,
+		`{"k\u0041":1,"kA":2,"k\"q":3}`,
+		`{"k\u0041":{"b":[1]}}`,
+		`{"a":1,"a":2}`,
+		`{"a":{"b":1},"a":{"c":[1,2]}}`,
+		`[{"a":1,"a":[3,4]},{"a":{"b":null}},5]`,
+		`{"purchaseOrder":{"id":7,"items":[
+			{"name":"phone","price":100.0,"quantity":2,"parts":[{"partName":"battery"}]},
+			{"name":"tablet","price":350.86,"quantity":7}]}}`,
+		`{"nested_arr":["alpha","bravo","alpha"],"n":{"s":"a\tb","e":1e3}}`,
+		`"scalar"`,
+		`{"a":[1,2],"b":{"c":"x\q"}}`,
+		`{"a":{"b":1},"z":[1,}`,
+		`{"a":1} trailing`,
+	}
+	seedPaths := []string{
+		`$`,
+		`$.a`,
+		`$.a.b`,
+		`$.kA`,
+		`$.a[*]`,
+		`$.a[0 to 1]`,
+		`$..b`,
+		`$.a[last]`,
+		`$.*`,
+		`$.nested_arr[*]?(@ == "alpha")`,
+		`$.purchaseOrder.items[*]?(@.price > 200).name`,
+		`$.purchaseOrder.items[*]?(@.quantity == $.purchaseOrder.id).name`,
+		`$.purchaseOrder..partName`,
+		`strict $.a[*].b`,
+		`$.a[1,0]`,
+		`$.a[0,0]`,
+		`$.a[1,0]?(@ > 0)`,
+		`$.a[0,0]..b`,
+		`$.a[1,0].*`,
+		`$.a[0,0].b[last]`,
+	}
+	for _, d := range seedDocs {
+		for _, p := range seedPaths {
+			f.Add(d, p)
+		}
+	}
+	f.Fuzz(func(t *testing.T, docText, pathText string) {
+		if len(docText) > 1<<12 || len(pathText) > 1<<8 {
+			t.Skip("oversized input")
+		}
+		c, err := CompileText(pathText)
+		if err != nil {
+			t.Skip("not a path")
+		}
+		var ts TextState
+		dom, err := jsontext.ParseString(docText)
+		if err != nil {
+			// the text engine scans the whole document whatever the path
+			// selects, so it must reject what the parser rejects
+			if _, terr := ts.Eval(docText, c, 0); terr == nil {
+				t.Fatalf("path %q: text engine accepted malformed %q", pathText, docText)
+			}
+			if _, terr := ts.Exists(docText, c); terr == nil {
+				t.Fatalf("path %q: text Exists accepted malformed %q", pathText, docText)
+			}
+			return
+		}
+		want := Eval(Dom, dom, c)
+		got, err := ts.Eval(docText, c, 0)
+		if err != nil {
+			t.Fatalf("path %q over %q: text engine failed: %v", pathText, docText, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("path %q over %q: dom selected %d values, text %d\ndom:  %v\ntext: %v",
+				pathText, docText, len(want), len(got), want, got)
+		}
+		for i := range want {
+			if !jsondom.Equal(got[i], want[i]) {
+				t.Fatalf("path %q over %q: result %d differs\ndom:  %s\ntext: %s",
+					pathText, docText, i, jsontext.SerializeString(want[i]), jsontext.SerializeString(got[i]))
+			}
+		}
+		if ok, err := ts.Exists(docText, c); err != nil || ok != (len(want) > 0) {
+			t.Fatalf("path %q over %q: text Exists = %v, %v but dom selected %d",
+				pathText, docText, ok, err, len(want))
 		}
 	})
 }

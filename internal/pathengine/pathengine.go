@@ -6,10 +6,15 @@
 //     walks materialized trees; the OSON backend walks serialized OSON
 //     bytes directly, using node addresses (byte offsets) in lieu of
 //     machine pointers and binary search over sorted field ids.
-//   - a streaming engine over jsontext parser events for simple paths,
-//     which never materializes a DOM. Complex operators (filters,
-//     descendants, 'last' subscripts) fall back to DOM construction,
-//     the cost the paper attributes to text processing.
+//   - a streaming engine over jsontext parser events, which matches
+//     field names on the raw key bytes and skips unselected values
+//     without materializing them. It streams a path's leading field and
+//     subscript steps; at the first step that cannot stream (a filter,
+//     a descendant or wildcard step, a 'last' subscript) it builds a
+//     DOM of only the subtree the prefix reached and hands the rest of
+//     the path to the DOM engine. A filter with a '$'-anchored operand
+//     needs the root, so such a path builds the whole document — the
+//     cost the paper attributes to text processing.
 //
 // Compiled paths precompute field-name hashes at "query compile time"
 // so per-document field-id resolution is a binary search plus the
@@ -81,6 +86,9 @@ type Compiled struct {
 	// chain caches the compiled fields when every step is a plain
 	// field step, enabling the allocation-free fast path.
 	chain []*CompiledField
+	// handoff is the index of the first step text evaluation runs on
+	// the DOM engine rather than the event stream (see TextState).
+	handoff int
 }
 
 type compiledStep struct {
@@ -129,6 +137,7 @@ func Compile(p *jsonpath.Path) *Compiled {
 		chain = append(chain, cs.field)
 	}
 	c.chain = chain
+	c.handoff = c.handoffStep()
 	return c
 }
 
@@ -635,88 +644,190 @@ func EvalDom(root jsondom.Value, c *Compiled) []jsondom.Value {
 // ---------------------------------------------------------------------------
 // Streaming engine over JSON text
 
-var errStop = errors.New("pathengine: stop streaming")
-
-// Streamable reports whether the compiled path can be evaluated by the
-// event-streaming engine without DOM materialization: only plain field
-// steps and array subscript/wildcard steps without 'last' references.
-func (c *Compiled) Streamable() bool {
-	for _, s := range c.steps {
-		switch t := s.raw.(type) {
-		case jsonpath.FieldStep:
-		case jsonpath.ArrayStep:
-			for _, sub := range t.Subs {
-				if sub.From.Last || (sub.IsRange && sub.To.Last) {
-					return false
-				}
+// streamsStep reports whether the event-streaming engine evaluates step
+// s: plain field steps, array wildcards, and array subscripts without
+// 'last' references (which need the array's length up front) that
+// select positions in ascending order, each at most once. The stream
+// visits elements in document order, while the DOM engine yields them
+// in subscript order, repeats included ($.a[1,0], $.a[0,0]); only
+// ascending, non-overlapping subscripts give the same sequence.
+func streamsStep(s jsonpath.Step) bool {
+	switch t := s.(type) {
+	case jsonpath.FieldStep:
+		return true
+	case jsonpath.ArrayStep:
+		prev := -1 // last position selected so far
+		for _, sub := range t.Subs {
+			if sub.From.Last || (sub.IsRange && sub.To.Last) {
+				return false
 			}
-		default:
-			return false
+			from, to := sub.From.Pos, sub.From.Pos
+			if sub.IsRange {
+				to = sub.To.Pos
+			}
+			if to < from {
+				continue // an empty range selects nothing
+			}
+			if from <= prev {
+				return false
+			}
+			prev = to
 		}
+		return true
 	}
-	return true
+	return false
 }
 
-// EvalText evaluates the path over JSON text. Streamable paths use the
-// event engine; others parse a DOM first (the expensive fallback the
-// paper describes). limit > 0 stops after that many results.
+// rootAnchored reports whether a filter predicate has a '$'-anchored
+// operand, which the DOM engine resolves against the document root.
+// Operand paths nested inside such an operand see their own base as
+// '$', so only the predicate's own operands are inspected.
+func rootAnchored(p *compiledPred) bool {
+	for _, k := range p.kids {
+		if rootAnchored(k) {
+			return true
+		}
+	}
+	for _, o := range p.paths {
+		if o.root {
+			return true
+		}
+	}
+	return false
+}
+
+// handoffStep returns the index of the first step the streaming engine
+// hands to the DOM engine (len(c.steps) when every step streams). A
+// filter with a '$'-anchored operand needs the whole document, so such
+// a path hands off at step 0.
+func (c *Compiled) handoffStep() int {
+	for _, s := range c.steps {
+		if s.filter != nil && rootAnchored(s.filter) {
+			return 0
+		}
+	}
+	for i, s := range c.steps {
+		if !streamsStep(s.raw) {
+			return i
+		}
+	}
+	return len(c.steps)
+}
+
+// Streamable reports whether the event-streaming engine evaluates the
+// whole path without materializing any subtree.
+func (c *Compiled) Streamable() bool { return c.handoff == len(c.steps) }
+
+// TextState is the reusable scratch of path evaluation over JSON text:
+// the streaming parser, the result sequence, and the DOM-engine state
+// for the steps that do not stream. Evaluation streams the path's
+// leading field and subscript steps over parser events; at the first
+// step that cannot stream (a filter, a descendant or wildcard step, a
+// 'last' subscript) it materializes only the subtree the prefix
+// reached and runs the remaining steps over it with the DOM engine. In
+// steady state an evaluation allocates only the values it returns and
+// the subtrees it hands off.
+//
+// The zero value is ready to use. A TextState serves one goroutine, and
+// the result slice it returns is valid until its next evaluation.
+type TextState struct {
+	p     jsontext.Parser
+	dom   EvalState[jsondom.Value]
+	sst   EvalState[jsondom.Scalar] // for handed-off scalars
+	out   []jsondom.Value
+	c     *Compiled
+	limit int
+	// exists counts matches at the end of the path as nil entries of
+	// out instead of materializing them
+	exists bool
+}
+
+// DOM returns the state's DOM-engine scratch, which callers also use to
+// evaluate paths over trees they materialized themselves.
+func (ts *TextState) DOM() *EvalState[jsondom.Value] { return &ts.dom }
+
+// Eval evaluates c over the JSON text s and returns the matches in
+// document order, at most limit of them when limit > 0. The returned
+// slice is state-owned; the values in it may be substrings of s.
+func (ts *TextState) Eval(s string, c *Compiled, limit int) ([]jsondom.Value, error) {
+	ts.p.ResetString(s)
+	return ts.run(c, limit, false)
+}
+
+// Exists reports whether c selects anything in the JSON text s,
+// materializing no match the path's last step selects.
+func (ts *TextState) Exists(s string, c *Compiled) (bool, error) {
+	ts.p.ResetString(s)
+	res, err := ts.run(c, 1, true)
+	return len(res) > 0, err
+}
+
+// EvalText evaluates the path over JSON text (see TextState). limit > 0
+// stops after that many results. The caller owns the result.
 func EvalText(text []byte, c *Compiled, limit int) ([]jsondom.Value, error) {
-	if !c.Streamable() {
-		root, err := jsontext.Parse(text)
-		if err != nil {
-			return nil, err
-		}
-		vals := EvalDom(root, c)
-		if limit > 0 && len(vals) > limit {
-			vals = vals[:limit]
-		}
-		return vals, nil
-	}
-	var out []jsondom.Value
-	p := jsontext.NewParser(text)
-	ev, err := p.Next()
-	if err != nil {
+	var ts TextState
+	ts.p.Reset(text)
+	vals, err := ts.run(c, limit, false)
+	if len(vals) == 0 {
 		return nil, err
 	}
-	emit := func(v jsondom.Value) error {
-		out = append(out, v)
-		if limit > 0 && len(out) >= limit {
-			return errStop
-		}
-		return nil
-	}
-	// streamSteps consumes the entire root value unless stopped early
-	if err := streamSteps(p, ev, c, 0, emit); err != nil && !errors.Is(err, errStop) {
-		return nil, err
-	}
-	return out, nil
+	return vals, err
 }
 
 // ExistsText reports whether the path matches anything in the text.
 func ExistsText(text []byte, c *Compiled) (bool, error) {
-	vals, err := EvalText(text, c, 1)
-	if err != nil {
-		return false, err
-	}
-	return len(vals) > 0, nil
+	var ts TextState
+	ts.p.Reset(text)
+	res, err := ts.run(c, 1, true)
+	return len(res) > 0, err
 }
 
-// streamSteps matches steps[idx:] against the value whose first event
-// is ev; the parser is positioned immediately after ev.
-func streamSteps(p *jsontext.Parser, ev jsontext.Event, c *Compiled, idx int, emit func(jsondom.Value) error) error {
-	if idx == len(c.steps) {
-		v, err := buildFromEvent(p, ev)
-		if err != nil {
-			return err
-		}
-		return emit(v)
+// run evaluates c over the document the parser was reset to. The whole
+// document is always scanned, so malformed text is an error whatever
+// the path selects.
+func (ts *TextState) run(c *Compiled, limit int, exists bool) ([]jsondom.Value, error) {
+	clear(ts.out)
+	ts.out, ts.c, ts.limit, ts.exists = ts.out[:0], c, limit, exists
+	ev, err := ts.p.Next()
+	if err == nil {
+		err = ts.stream(ev, 0)
+	}
+	if err == nil {
+		_, err = ts.p.Next() // EOF, or an error for trailing data
+	}
+	ts.c = nil
+	if err != nil {
+		return nil, err
+	}
+	return ts.out, nil
+}
+
+// full reports whether the result sequence has reached the limit.
+func (ts *TextState) full() bool { return ts.limit > 0 && len(ts.out) >= ts.limit }
+
+// stream matches steps[idx:] against the value whose first event is ev;
+// the parser is positioned immediately after ev, and the value is
+// consumed whatever it matches. Scalars are read with their text when
+// a step may select them, and everything else in NoStrings mode.
+func (ts *TextState) stream(ev jsontext.Event, idx int) error {
+	p := &ts.p
+	if ts.full() {
+		return p.SkipValue(ev)
+	}
+	c := ts.c
+	if idx == c.handoff {
+		return ts.handOff(ev, idx)
 	}
 	lax := c.Path.Lax
 	switch step := c.steps[idx].raw.(type) {
 	case jsonpath.FieldStep:
 		switch ev.Kind {
 		case jsontext.EvObjectStart:
+			// last occurrence wins, as in the DOM and OSON: a repeated key
+			// drops the results of the earlier occurrences
+			mark := -1
 			for {
+				p.NoStrings = true
 				kev, err := p.Next()
 				if err != nil {
 					return err
@@ -724,15 +835,26 @@ func streamSteps(p *jsontext.Parser, ev jsontext.Event, c *Compiled, idx int, em
 				if kev.Kind == jsontext.EvObjectEnd {
 					return nil
 				}
+				hit := p.SpanEquals(step.Name)
+				if hit {
+					if mark < 0 {
+						mark = len(ts.out)
+					} else {
+						clear(ts.out[mark:])
+						ts.out = ts.out[:mark]
+					}
+				}
+				p.NoStrings = !hit
 				vev, err := p.Next()
 				if err != nil {
 					return err
 				}
-				if kev.Str == step.Name {
-					if err := streamSteps(p, vev, c, idx+1, emit); err != nil {
-						return err
-					}
-				} else if err := p.SkipValue(vev); err != nil {
+				if hit {
+					err = ts.stream(vev, idx+1)
+				} else {
+					err = p.SkipValue(vev)
+				}
+				if err != nil {
 					return err
 				}
 			}
@@ -741,6 +863,7 @@ func streamSteps(p *jsontext.Parser, ev jsontext.Event, c *Compiled, idx int, em
 				return p.SkipValue(ev)
 			}
 			for {
+				p.NoStrings = true
 				eev, err := p.Next()
 				if err != nil {
 					return err
@@ -751,10 +874,11 @@ func streamSteps(p *jsontext.Parser, ev jsontext.Event, c *Compiled, idx int, em
 				// lax unwrap is one level deep: the field step applies to
 				// object elements only; other elements are skipped
 				if eev.Kind == jsontext.EvObjectStart {
-					if err := streamSteps(p, eev, c, idx, emit); err != nil {
-						return err
-					}
-				} else if err := p.SkipValue(eev); err != nil {
+					err = ts.stream(eev, idx)
+				} else {
+					err = p.SkipValue(eev)
+				}
+				if err != nil {
 					return err
 				}
 			}
@@ -764,12 +888,13 @@ func streamSteps(p *jsontext.Parser, ev jsontext.Event, c *Compiled, idx int, em
 	case jsonpath.ArrayStep:
 		if ev.Kind != jsontext.EvArrayStart {
 			if lax && (step.Wildcard || selectsZero(step.Subs, 1)) {
-				return streamSteps(p, ev, c, idx+1, emit)
+				return ts.stream(ev, idx+1)
 			}
 			return p.SkipValue(ev)
 		}
-		i := 0
-		for {
+		for i := 0; ; i++ {
+			sel := step.Wildcard || indexSelected(step.Subs, i)
+			p.NoStrings = !sel
 			eev, err := p.Next()
 			if err != nil {
 				return err
@@ -777,18 +902,119 @@ func streamSteps(p *jsontext.Parser, ev jsontext.Event, c *Compiled, idx int, em
 			if eev.Kind == jsontext.EvArrayEnd {
 				return nil
 			}
-			if step.Wildcard || indexSelected(step.Subs, i) {
-				if err := streamSteps(p, eev, c, idx+1, emit); err != nil {
-					return err
-				}
-			} else if err := p.SkipValue(eev); err != nil {
+			if sel {
+				err = ts.stream(eev, idx+1)
+			} else {
+				err = p.SkipValue(eev)
+			}
+			if err != nil {
 				return err
 			}
-			i++
 		}
 	}
 	return p.SkipValue(ev)
 }
+
+// handOff runs steps[idx:] with the DOM engine over the value whose
+// first event is ev: a scalar as an unboxed jsondom.Scalar, anything
+// else materialized. At idx 0 the value is the document root, which
+// '$'-anchored filter operands resolve against. An existence test
+// materializes no value the last step selects.
+func (ts *TextState) handOff(ev jsontext.Event, idx int) error {
+	if idx == len(ts.c.steps) && ts.exists {
+		ts.out = append(ts.out, nil)
+		return ts.p.SkipValue(ev)
+	}
+	if s, ok, err := eventScalar(ev); ok || err != nil {
+		if err == nil {
+			handOffSteps[jsondom.Scalar](ts, scalarTree{}, &ts.sst, s, idx)
+		}
+		return err
+	}
+	v, err := ts.p.ReadValue(ev)
+	if err == nil {
+		handOffSteps[jsondom.Value](ts, Dom, &ts.dom, v, idx)
+	}
+	return err
+}
+
+// handOffSteps applies steps[idx:] to the handed-off node v and appends
+// the results.
+func handOffSteps[N any](ts *TextState, t Tree[N], st *EvalState[N], v N, idx int) {
+	cur := append(st.getNodes(), v)
+	for i := idx; i < len(ts.c.steps) && len(cur) > 0; i++ {
+		cur = st.evalStep(t, v, cur, ts.c, i)
+	}
+	for _, n := range cur {
+		if ts.full() {
+			break
+		}
+		var m jsondom.Value
+		if !ts.exists {
+			m, _ = t.Materialize(n)
+		}
+		ts.out = append(ts.out, m)
+	}
+	st.PutNodes(cur)
+}
+
+// eventScalar returns the scalar a scalar event carries (ok=false for
+// container events).
+func eventScalar(ev jsontext.Event) (s jsondom.Scalar, ok bool, err error) {
+	switch ev.Kind {
+	case jsontext.EvNull:
+		return jsondom.Scalar{K: jsondom.KindNull}, true, nil
+	case jsontext.EvBool:
+		return jsondom.Scalar{K: jsondom.KindBool, B: ev.Bool}, true, nil
+	case jsontext.EvString:
+		return jsondom.Scalar{K: jsondom.KindString, Str: ev.Str}, true, nil
+	case jsontext.EvNumber:
+		n, err := jsondom.N(ev.Str)
+		return jsondom.Scalar{K: jsondom.KindNumber, Str: string(n)}, err == nil, err
+	}
+	return s, false, nil
+}
+
+// scalarTree is the Tree backend over a lone unboxed scalar: a scalar
+// the streaming prefix hands off (an array element a filter tests, say)
+// runs the remaining steps without being boxed.
+type scalarTree struct{}
+
+// Kind implements Tree.
+func (scalarTree) Kind(n jsondom.Scalar) jsondom.Kind { return n.K }
+
+// Field implements Tree: a scalar has no members.
+func (scalarTree) Field(jsondom.Scalar, *CompiledField) (jsondom.Scalar, bool) {
+	return jsondom.Scalar{}, false
+}
+
+// Elem implements Tree: a scalar has no elements.
+func (scalarTree) Elem(jsondom.Scalar, int) (jsondom.Scalar, bool) {
+	return jsondom.Scalar{}, false
+}
+
+// Len implements Tree.
+func (scalarTree) Len(jsondom.Scalar) int { return 0 }
+
+// Children implements Tree.
+func (scalarTree) Children(jsondom.Scalar, func(string, bool, jsondom.Scalar) bool) {}
+
+// Scalar implements Tree.
+func (scalarTree) Scalar(n jsondom.Scalar) (jsondom.Value, bool) { return n.Box(), true }
+
+// ScalarRaw implements Tree.
+func (scalarTree) ScalarRaw(n jsondom.Scalar) (jsondom.Scalar, bool) { return n, true }
+
+// ChildCount implements Tree.
+func (scalarTree) ChildCount(jsondom.Scalar) int { return 0 }
+
+// ChildAt implements Tree.
+func (scalarTree) ChildAt(jsondom.Scalar, int) (string, bool, jsondom.Scalar, bool) {
+	return "", false, jsondom.Scalar{}, false
+}
+
+// Materialize implements Tree.
+func (scalarTree) Materialize(n jsondom.Scalar) (jsondom.Value, error) { return n.Box(), nil }
 
 // indexSelected reports whether absolute position i is selected by the
 // subscripts (which are guaranteed not to use 'last' when streaming).
@@ -804,55 +1030,4 @@ func indexSelected(subs []jsonpath.Subscript, i int) bool {
 		}
 	}
 	return false
-}
-
-// buildFromEvent materializes the value whose first event is ev.
-func buildFromEvent(p *jsontext.Parser, ev jsontext.Event) (jsondom.Value, error) {
-	switch ev.Kind {
-	case jsontext.EvNull:
-		return jsondom.Null{}, nil
-	case jsontext.EvBool:
-		return jsondom.Bool(ev.Bool), nil
-	case jsontext.EvString:
-		return jsondom.String(ev.Str), nil
-	case jsontext.EvNumber:
-		return jsondom.N(ev.Str)
-	case jsontext.EvObjectStart:
-		o := jsondom.NewObject()
-		for {
-			kev, err := p.Next()
-			if err != nil {
-				return nil, err
-			}
-			if kev.Kind == jsontext.EvObjectEnd {
-				return o, nil
-			}
-			vev, err := p.Next()
-			if err != nil {
-				return nil, err
-			}
-			v, err := buildFromEvent(p, vev)
-			if err != nil {
-				return nil, err
-			}
-			o.Set(kev.Str, v)
-		}
-	case jsontext.EvArrayStart:
-		a := jsondom.NewArray()
-		for {
-			eev, err := p.Next()
-			if err != nil {
-				return nil, err
-			}
-			if eev.Kind == jsontext.EvArrayEnd {
-				return a, nil
-			}
-			v, err := buildFromEvent(p, eev)
-			if err != nil {
-				return nil, err
-			}
-			a.Append(v)
-		}
-	}
-	return nil, errors.New("pathengine: unexpected event " + ev.Kind.String())
 }

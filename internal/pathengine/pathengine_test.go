@@ -10,6 +10,7 @@ import (
 	"repro/internal/jsondom"
 	"repro/internal/jsontext"
 	"repro/internal/oson"
+	"repro/internal/workload"
 )
 
 const poText = `{"purchaseOrder":{"id":1,"podate":"2014-09-08","foreign_id":"CDEG35",
@@ -311,21 +312,146 @@ func TestEvalTextLimit(t *testing.T) {
 	}
 }
 
+// TestStreamable pins where text evaluation hands a path from the event
+// stream to the DOM engine: at the first filter, descendant, wildcard
+// or 'last' step, or at step 0 (the whole document) when a filter has
+// a '$'-anchored operand.
 func TestStreamable(t *testing.T) {
-	cases := map[string]bool{
-		"$.a.b":           true,
-		"$.a[*].b":        true,
-		"$.a[0,1 to 2].b": true,
-		"$":               true,
-		"$.a[last]":       false,
-		"$.a[0 to last]":  false,
-		"$.*":             false,
-		"$..x":            false,
-		"$.a?(@.b == 1)":  false,
+	cases := []struct {
+		path       string
+		streamable bool
+		handoff    int
+	}{
+		{"$.a.b", true, 2},
+		{"$.a[*].b", true, 3},
+		{"$.a[0,1 to 2].b", true, 3},
+		{"$", true, 0},
+		{"$.a[last]", false, 1},
+		{"$.a[0 to last]", false, 1},
+		{"$.*", false, 0},
+		{"$..x", false, 0},
+		{"$.a?(@.b == 1)", false, 1},
+		{`$.nested_arr[*]?(@ == "alpha")`, false, 2},
+		{"$.a.b..c", false, 2},
+		{"$.a[1].b[last].c", false, 3},
+		{"$.a.*.b", false, 1},
+		{"$.a[*]?(@.b > 1).c?(@ == 2)", false, 2},
+		// '$'-anchored operands need the root: whole-document fallback
+		{"$.a[*]?(@.b == $.c).d", false, 0},
+		{"$.a.b?(@.c == 1).d?(exists($.e))", false, 0},
+		{"$.a?(!(@.b == 1 && @.c == $.d))", false, 0},
+		// a '$' inside an '@'-relative operand path resolves against
+		// that operand's base, not the document root
+		{"$.a?(exists(@.b?(@.c == $.d)))", false, 1},
+		// subscripts out of order or overlapping select in subscript
+		// order, repeats included, which only the DOM engine does
+		{"$.a[1,0]", false, 1},
+		{"$.a[0,0]", false, 1},
+		{"$.a[0 to 2,1]", false, 1},
+		{"$.a[1,0]?(@ > 0)", false, 1},
+		{"$.a.b[2,0 to 1].c", false, 2},
+		{"$.a[0,2 to 1,1]", true, 2},
 	}
-	for path, want := range cases {
-		if got := MustCompile(path).Streamable(); got != want {
-			t.Errorf("Streamable(%q) = %v, want %v", path, got, want)
+	for _, c := range cases {
+		cp := MustCompile(c.path)
+		if got := cp.Streamable(); got != c.streamable {
+			t.Errorf("Streamable(%q) = %v, want %v", c.path, got, c.streamable)
+		}
+		if cp.handoff != c.handoff {
+			t.Errorf("handoff(%q) = %d, want %d", c.path, cp.handoff, c.handoff)
+		}
+	}
+}
+
+// TestTextDuplicateKeys: a repeated key resolves to its last
+// occurrence over JSON text, as it does in the DOM and OSON, whether
+// the path streams or hands off.
+func TestTextDuplicateKeys(t *testing.T) {
+	cases := []struct {
+		doc, path, want string
+	}{
+		{`{"a":1,"a":2}`, "$.a", "[2]"},
+		{`{"a":{"b":1},"a":{}}`, "$.a.b", "[]"},
+		{`{"a":{"b":1},"x":0,"a":{"b":3}}`, "$.a.b", "[3]"},
+		{`{"a":[1,2],"a":[3]}`, "$.a[*]", "[3]"},
+		{`{"a":{"b":1,"b":2,"c":{"b":5}},"a":{"b":7,"b":8}}`, "$.a.b", "[8]"},
+		{`[{"a":1,"a":2},{"a":3}]`, "$.a", "[2 3]"},
+		{`{"a":[1,5],"a":[2,6]}`, "$.a[*]?(@ > 4)", "[6]"},
+		{`{"a":[1,2,3],"b":0,"a":[4,5]}`, "$.a[last]", "[5]"},
+		{`{"k\u0041":1,"kA":2}`, "$.kA", "[2]"},
+		// repeated or descending subscripts keep subscript order
+		{`{"a":[1,2]}`, "$.a[1,0]", "[2 1]"},
+		{`{"a":[1,2]}`, "$.a[0,0]", "[1 1]"},
+		{`{"a":[1,2,3]}`, "$.a[0 to 1,1 to 2]", "[1 2 2 3]"},
+		{`{"a":[1,2]}`, "$.a[1,0]?(@ > 0)", "[2 1]"},
+		{`{"a":[{"b":1},{"b":2}]}`, "$.a[0,0]..b", "[1 1]"},
+		{`{"a":[{"b":1},{"b":2}]}`, "$.a[1,0].*", "[2 1]"},
+	}
+	for _, c := range cases {
+		cp := MustCompile(c.path)
+		vals, err := EvalText([]byte(c.doc), cp, 0)
+		if err != nil {
+			t.Fatalf("%s over %s: %v", c.path, c.doc, err)
+		}
+		if got := render(vals); got != c.want {
+			t.Errorf("%s over %s = %s, want %s", c.path, c.doc, got, c.want)
+		}
+		dom := EvalDom(jsontext.MustParse(c.doc), cp)
+		if render(dom) != c.want {
+			t.Errorf("%s over %s: DOM %s, want %s", c.path, c.doc, render(dom), c.want)
+		}
+		ok, err := ExistsText([]byte(c.doc), cp)
+		if err != nil || ok != (c.want != "[]") {
+			t.Errorf("ExistsText(%s over %s) = %v, %v", c.path, c.doc, ok, err)
+		}
+	}
+	// a limit keeps the first results of the last occurrence
+	vals, err := EvalText([]byte(`{"a":[1,2],"a":[3,4]}`), MustCompile("$.a[*]"), 1)
+	if err != nil || render(vals) != "[3]" {
+		t.Fatalf("limit over duplicates = %s, %v", render(vals), err)
+	}
+}
+
+// TestTextStateAllocs: once warm, a TextState evaluates paths without
+// allocating beyond the boxed results, and tests existence without any
+// allocation — including a filter over scalar array elements, which
+// are handed to the DOM engine unboxed.
+func TestTextStateAllocs(t *testing.T) {
+	doc := jsontext.SerializeString(jsontext.MustParse(`{"str1":"GBRDC0000001","num":17,
+		"nested_arr":["alpha","bravo","charlie"],"nested_obj":{"str":"s1","num":17},
+		"sparse_110":"x","tail":[{"deep":[1,2,{"x":"y"}]},true,null]}`))
+	cases := []struct {
+		path   string
+		exists bool
+		max    float64
+	}{
+		{"$.nested_obj.str", false, 1},
+		{"$.str1", false, 1},
+		{"$.sparse_110", true, 0},
+		{"$.nested_obj", true, 0},
+		{"$.tail[0].deep[2].x", true, 0},
+		{"$.missing", false, 0},
+		{`$.nested_arr[*]?(@ == "alpha")`, true, 0},
+		{`$.nested_arr[*]?(@ == "charlie")`, true, 0},
+		{`$.nested_arr[*]?(@ starts with "b")`, false, 1},
+	}
+	var ts TextState
+	for _, c := range cases {
+		cp := MustCompile(c.path)
+		run := func() {
+			if c.exists {
+				if ok, err := ts.Exists(doc, cp); err != nil || !ok {
+					t.Fatalf("%s: exists = %v, %v", c.path, ok, err)
+				}
+				return
+			}
+			if _, err := ts.Eval(doc, cp, 2); err != nil {
+				t.Fatalf("%s: %v", c.path, err)
+			}
+		}
+		run()
+		if n := testing.AllocsPerRun(50, run); n > c.max {
+			t.Errorf("%s: %.1f allocs per evaluation, want <= %.0f", c.path, n, c.max)
 		}
 	}
 }
@@ -449,5 +575,44 @@ func BenchmarkEvalTextStreaming(b *testing.B) {
 		if err != nil || len(vals) != 3 {
 			b.Fatal("bad result")
 		}
+	}
+}
+
+// BenchmarkTextStateNoBench is rung 2 of the benchmark ladder for JSON
+// text: the NOBENCH query paths (§6.4) evaluated by one reused
+// TextState over 256 NOBENCH documents — JSON_VALUE-style evaluation
+// (limit 2) and JSON_EXISTS-style existence tests, per document.
+func BenchmarkTextStateNoBench(b *testing.B) {
+	docs := make([]string, 256)
+	for i := range docs {
+		docs[i] = jsontext.SerializeString(workload.GenNoBench(1, i))
+	}
+	cases := []struct {
+		name, path string
+		exists     bool
+	}{
+		{"str1", "$.str1", false},
+		{"nested_num", "$.nested_obj.num", false},
+		{"sparse_exists", "$.sparse_110", true},
+		{"arr_filter", `$.nested_arr[*]?(@ == "alpha")`, true},
+	}
+	for _, c := range cases {
+		cp := MustCompile(c.path)
+		b.Run(c.name, func(b *testing.B) {
+			var ts TextState
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d := docs[i%len(docs)]
+				var err error
+				if c.exists {
+					_, err = ts.Exists(d, cp)
+				} else {
+					_, err = ts.Eval(d, cp, 2)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -79,9 +79,9 @@ var (
 // sql.scan.rows: document and row volumes through the pooled
 // ExpandState, prefilter prunes, and evaluation-scratch freelist hits.
 var (
-	mJSONTableDocs      = metrics.NewCounter("sql.jsontable.docs", "documents bound for JSON_TABLE expansion")
-	mJSONTableRows      = metrics.NewCounter("sql.jsontable.rows", "rows emitted by JSON_TABLE expansion")
-	mJSONTablePruned    = metrics.NewCounter("sql.jsontable.docs_pruned", "documents skipped whole by JSON_EXISTS prefilters")
+	mJSONTableDocs       = metrics.NewCounter("sql.jsontable.docs", "documents bound for JSON_TABLE expansion")
+	mJSONTableRows       = metrics.NewCounter("sql.jsontable.rows", "rows emitted by JSON_TABLE expansion")
+	mJSONTablePruned     = metrics.NewCounter("sql.jsontable.docs_pruned", "documents skipped whole by JSON_EXISTS prefilters")
 	mJSONTableArenaHits  = metrics.NewCounter("sql.jsontable.arena_hits", "path-evaluation scratch checkouts served from the expansion arena freelists")
 	mJSONTableInternHits = metrics.NewCounter("sql.jsontable.intern_hits", "column values served from the expansion value dictionaries instead of freshly boxed")
 )

@@ -19,7 +19,8 @@
 //
 //   - The Document returned by Bind is Binder-owned and valid until the
 //     next Bind. Values the operators return never alias the Binder:
-//     OSON-backed strings and numbers alias the datum buffer itself.
+//     strings and numbers read from OSON or JSON text alias the datum
+//     itself.
 //   - A Binder serves one goroutine. Operators build one per evaluation
 //     context, and parallel workers build their own contexts.
 
@@ -31,12 +32,17 @@ import (
 	"repro/internal/pathengine"
 )
 
-// scratch is the navigation and path-evaluation scratch of a document.
+// scratch is the navigation and path-evaluation scratch of a document:
+// the OSON tree and its node state, and the text state, whose parser
+// streams JSON text and whose DOM state also serves materialized trees.
 type scratch struct {
 	tree pathengine.OsonTree
 	ost  pathengine.EvalState[oson.NodeAddr]
-	dst  pathengine.EvalState[jsondom.Value]
+	txt  pathengine.TextState
 }
+
+// dst is the DOM-engine state.
+func (sc *scratch) dst() *pathengine.EvalState[jsondom.Value] { return sc.txt.DOM() }
 
 // evalOson evaluates c over the scratch tree's document and
 // materializes at most limit (0: all) results.

@@ -60,6 +60,52 @@ func TestBinderZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestBinderTextAllocs: a JSON text datum binds in place and its paths
+// stream through the binder's parser, so once warm JSON_EXISTS over
+// text allocates nothing and a JSON_VALUE field chain only its boxed
+// result — alternating two documents.
+func TestBinderTextAllocs(t *testing.T) {
+	docs := []jsondom.Value{
+		jsondom.String(jsontext.SerializeString(nbDoc(1))),
+		jsondom.String(jsontext.SerializeString(nbDoc(2))),
+	}
+	present := pathengine.MustCompile(`$.nested_obj.str`)
+	chain := pathengine.MustCompile(`$.nested_obj.num`)
+	var b Binder
+	var i int
+	exists := func() {
+		d, err := b.Bind(docs[i%2])
+		i++
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := d.Exists(present); err != nil || !ok {
+			t.Fatalf("exists = %v, %v", ok, err)
+		}
+	}
+	value := func() {
+		d, err := b.Bind(docs[i%2])
+		i++
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := d.Value(chain, RetNumber); err != nil || v.Kind() != jsondom.KindNumber {
+			t.Fatalf("value = %v, %v", v, err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		f    func()
+		max  float64
+	}{{"JSON_EXISTS", exists, 0}, {"JSON_VALUE chain", value, 1}} {
+		c.f() // warm the scratch
+		c.f()
+		if n := testing.AllocsPerRun(100, c.f); n > c.max {
+			t.Errorf("%s over text: %.1f allocs per bound call, want <= %.0f", c.name, n, c.max)
+		}
+	}
+}
+
 // bindValue binds v and evaluates JSON_VALUE(path) through b.
 func bindValue(t *testing.T, b *Binder, v jsondom.Value, path string) (jsondom.Value, error) {
 	t.Helper()

@@ -130,7 +130,7 @@ func (es *ExpandState) Width() int { return es.total }
 // Stats snapshots the state's counters.
 func (es *ExpandState) Stats() ExpandStats {
 	og, oh := es.b.sc.ost.Reuse()
-	dg, dh := es.b.sc.dst.Reuse()
+	dg, dh := es.b.sc.dst().Reuse()
 	return ExpandStats{
 		Docs:       es.docs,
 		Rows:       es.rows,
@@ -177,7 +177,7 @@ func (es *ExpandState) Expand(emit func(row []jsondom.Value) error) error {
 		}
 		return sc.tree.Err()
 	}
-	return expandEmit(es, &sc.dst, pathengine.Dom, es.doc.dom, emit)
+	return expandEmit(es, sc.dst(), pathengine.Dom, es.doc.dom, emit)
 }
 
 // expandEmit evaluates the row pattern and expands each match through

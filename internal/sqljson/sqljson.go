@@ -6,9 +6,9 @@
 // §6.3 — JSON text, BSON, OSON — through the Document wrapper, which
 // picks the matching evaluation strategy:
 //
-//   - JSON text: the streaming path engine for simple paths; DOM
-//     construction otherwise (and always for JSON_TABLE, which touches
-//     many paths per document);
+//   - JSON text: the streaming path engine, which materializes only
+//     the subtree a path's streamable prefix reaches (the whole
+//     document for JSON_TABLE, which touches many paths per document);
 //   - OSON: direct navigation over the serialized bytes, no
 //     materialization;
 //   - BSON: decoded to a DOM (its serial format has no random access),
@@ -59,8 +59,11 @@ var ErrNotJSON = errors.New("sqljson: value is not a JSON document")
 
 // Document wraps one JSON document in any supported encoding.
 type Document struct {
-	enc  Encoding
-	text []byte
+	enc Encoding
+	// text is the JSON text of an EncText document: the datum string
+	// itself, read in place, so values evaluated from it may be
+	// substrings of it.
+	text string
 	od   *oson.Doc
 	dom  jsondom.Value // cache for text/bson materialization
 	// sc is the evaluation scratch: a Binder's, for a document bound
@@ -87,7 +90,7 @@ func FromDatum(v jsondom.Value) (*Document, error) {
 func (d *Document) set(v jsondom.Value) error {
 	switch t := v.(type) {
 	case jsondom.String:
-		*d = Document{enc: EncText, text: []byte(t)}
+		*d = Document{enc: EncText, text: string(t)}
 		return nil
 	case jsondom.Binary:
 		if isOson(t) {
@@ -141,7 +144,7 @@ func (d *Document) DOM() (jsondom.Value, error) {
 	}
 	switch d.enc {
 	case EncText:
-		v, err := jsontext.Parse(d.text)
+		v, err := jsontext.ParseString(d.text)
 		if err != nil {
 			return nil, err
 		}
@@ -159,14 +162,16 @@ func (d *Document) DOM() (jsondom.Value, error) {
 }
 
 // Eval evaluates a compiled path, choosing the strategy by encoding.
-// limit > 0 truncates the result sequence.
+// limit > 0 truncates the result sequence. The slice returned for JSON
+// text is the document scratch's, valid until the next evaluation over
+// the document.
 func (d *Document) Eval(c *pathengine.Compiled, limit int) ([]jsondom.Value, error) {
 	switch d.enc {
 	case EncOSON:
 		return d.scratch().evalOson(c, limit)
 	case EncText:
 		if d.dom == nil {
-			return pathengine.EvalText(d.text, c, limit)
+			return d.scratch().txt.Eval(d.text, c, limit)
 		}
 		fallthrough
 	default:
@@ -183,9 +188,8 @@ func (d *Document) Eval(c *pathengine.Compiled, limit int) ([]jsondom.Value, err
 }
 
 // Exists implements JSON_EXISTS. OSON and materialized documents are
-// tested over the scratch node sequences without materializing a
-// match; JSON text without a cached DOM streams and stops at the
-// first match.
+// tested over the scratch node sequences, and JSON text without a
+// cached DOM is streamed, all without materializing a match.
 func (d *Document) Exists(c *pathengine.Compiled) (bool, error) {
 	switch {
 	case d.enc == EncOSON:
@@ -196,13 +200,10 @@ func (d *Document) Exists(c *pathengine.Compiled) (bool, error) {
 		}
 		return ok, nil
 	case d.dom != nil:
-		return d.scratch().dst.Exists(pathengine.Dom, d.dom, c), nil
+		return d.scratch().dst().Exists(pathengine.Dom, d.dom, c), nil
+	default: // JSON text, not materialized
+		return d.scratch().txt.Exists(d.text, c)
 	}
-	vals, err := d.Eval(c, 1)
-	if err != nil {
-		return false, err
-	}
-	return len(vals) > 0, nil
 }
 
 // ReturnType is the RETURNING clause of JSON_VALUE.
