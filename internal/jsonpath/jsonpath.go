@@ -62,7 +62,15 @@ type Index struct {
 type DescendantStep struct{ Name string }
 
 // FilterStep keeps context items satisfying the predicate (?(...)).
-type FilterStep struct{ Pred Predicate }
+// In lax mode an array context item is unwrapped and the predicate
+// applied to each element. NoUnwrap applies it to the array as a whole
+// instead; the path grammar has no syntax for it, and only
+// programmatically built filters (JSON_TABLE prefilters, whose context
+// item must be the very node a row takes its columns from) set it.
+type FilterStep struct {
+	Pred     Predicate
+	NoUnwrap bool
+}
 
 func (FieldStep) isStep()      {}
 func (WildcardStep) isStep()   {}
@@ -143,8 +151,26 @@ type Operand interface{ isOperand() }
 type LiteralOperand struct{ Value jsondom.Value }
 
 // PathOperand is a path relative to the current filter item (@) or the
-// root ($).
-type PathOperand struct{ Path *Path }
+// root ($). Conv, when set, converts every scalar the path selects
+// before it is compared; the path grammar has no syntax for it, so only
+// programmatically built predicates (JSON_TABLE prefilters) carry one.
+type PathOperand struct {
+	Path *Path
+	Conv Conversion
+}
+
+// Conversion names the scalar conversion a PathOperand applies: the
+// coercion a JSON_TABLE column of the matching SQL type performs, so a
+// predicate over the raw item compares what the column would hold.
+type Conversion uint8
+
+// Conversions. A scalar that does not convert (null, a non-numeric
+// string under ConvNumber) drops out of the operand's sequence.
+const (
+	ConvNone   Conversion = iota
+	ConvNumber            // NUMBER: numbers as is, numeric strings parsed, booleans 1/0
+	ConvString            // VARCHAR2: strings as is, other scalars serialized
+)
 
 func (LiteralOperand) isOperand() {}
 func (PathOperand) isOperand()    {}
@@ -747,6 +773,12 @@ func writeOperand(sb *strings.Builder, o Operand) {
 	switch t := o.(type) {
 	case PathOperand:
 		sb.WriteString(t.Path.Text)
+		switch t.Conv {
+		case ConvNumber:
+			sb.WriteString(".number()")
+		case ConvString:
+			sb.WriteString(".string()")
+		}
 	case LiteralOperand:
 		switch v := t.Value.(type) {
 		case jsondom.String:

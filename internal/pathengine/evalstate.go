@@ -135,7 +135,7 @@ func (st *EvalState[N]) evalStep(t Tree[N], root N, cur []N, c *Compiled, idx in
 		}
 	case jsonpath.FilterStep:
 		for _, n := range cur {
-			if lax && t.Kind(n) == jsondom.KindArray {
+			if lax && !raw.NoUnwrap && t.Kind(n) == jsondom.KindArray {
 				// lax mode unwraps arrays before applying the predicate
 				cnt := t.Len(n)
 				for i := 0; i < cnt; i++ {
@@ -296,6 +296,9 @@ func (st *EvalState[N]) evalPred(t Tree[N], root, ctx N, p *compiledPred) bool {
 	case jsonpath.AndPred:
 		return st.evalPred(t, root, ctx, p.kids[0]) && st.evalPred(t, root, ctx, p.kids[1])
 	case jsonpath.OrPred:
+		if p.eqLits != nil {
+			return st.evalEqList(t, root, ctx, p)
+		}
 		return st.evalPred(t, root, ctx, p.kids[0]) || st.evalPred(t, root, ctx, p.kids[1])
 	case jsonpath.NotPred:
 		return !st.evalPred(t, root, ctx, p.kids[0])
@@ -306,6 +309,11 @@ func (st *EvalState[N]) evalPred(t Tree[N], root, ctx N, p *compiledPred) bool {
 		return ok
 	case jsonpath.CmpPred:
 		raw := p.raw.(jsonpath.CmpPred)
+		if l, lok, direct := directScalar(t, ctx, p.paths[0]); direct {
+			if r, rok, direct := directScalar(t, ctx, p.paths[1]); direct {
+				return lok && rok && compareRaw(l, raw.Op, r)
+			}
+		}
 		left := st.operandScalars(t, root, ctx, p.paths[0])
 		right := st.operandScalars(t, root, ctx, p.paths[1])
 		// existential semantics: true if any pair satisfies the operator
@@ -334,8 +342,68 @@ func (st *EvalState[N]) evalOperandNodes(t Tree[N], root, ctx N, o *compiledOpnd
 	return st.Eval(t, base, o.path)
 }
 
+// evalEqList evaluates an IN-list-shaped '||' chain (see eqList): true
+// if any item of the operand's sequence equals any of the literals.
+func (st *EvalState[N]) evalEqList(t Tree[N], root, ctx N, p *compiledPred) bool {
+	if s, ok, direct := directScalar(t, ctx, p.paths[0]); direct {
+		return ok && anyEqual(s, p.eqLits)
+	}
+	vals := st.operandScalars(t, root, ctx, p.paths[0])
+	res := false
+	for _, s := range vals {
+		if anyEqual(s, p.eqLits) {
+			res = true
+			break
+		}
+	}
+	st.putScalars(vals)
+	return res
+}
+
+func anyEqual(s jsondom.Scalar, lits []jsondom.Scalar) bool {
+	for _, l := range lits {
+		if compareRaw(s, jsonpath.OpEq, l) {
+			return true
+		}
+	}
+	return false
+}
+
+// directScalar reads an operand that is a literal, '@', or a plain
+// '@'-relative field chain without building its node sequence: it
+// navigates the chain (EvalFieldChain) and reads the scalar it lands
+// on. ok=false means the sequence is empty (a missing field, or a
+// scalar that does not convert). direct=false means the operand needs
+// the generic path: it is '$'-anchored, not a field chain, crosses an
+// array (lax unwrapping), or lands on a container.
+func directScalar[N any](t Tree[N], ctx N, o *compiledOpnd) (s jsondom.Scalar, ok, direct bool) {
+	if o.path == nil {
+		return o.litScalar, true, true
+	}
+	if o.root {
+		return s, false, false
+	}
+	n, found, applicable := EvalFieldChain(t, ctx, o.path)
+	if !applicable {
+		return s, false, false
+	}
+	if !found {
+		return s, false, true
+	}
+	s, scalar := t.ScalarRaw(n)
+	if !scalar {
+		return s, false, false
+	}
+	if o.conv != jsonpath.ConvNone {
+		s, ok = Convert(s, o.conv)
+		return s, ok, true
+	}
+	return s, true, true
+}
+
 // operandScalars collects an operand's value sequence as unboxed
-// scalars in a state-owned buffer.
+// scalars in a state-owned buffer, converted when the operand carries
+// a conversion.
 func (st *EvalState[N]) operandScalars(t Tree[N], root, ctx N, o *compiledOpnd) []jsondom.Scalar {
 	out := st.getScalars()
 	if o.path == nil {
@@ -344,7 +412,7 @@ func (st *EvalState[N]) operandScalars(t Tree[N], root, ctx N, o *compiledOpnd) 
 	nodes := st.evalOperandNodes(t, root, ctx, o)
 	for _, n := range nodes {
 		if s, ok := t.ScalarRaw(n); ok {
-			out = append(out, s)
+			out = appendConverted(out, s, o.conv)
 		} else if t.Kind(n) == jsondom.KindArray && o.path.Path.Lax {
 			// lax: unwrap array of scalars for comparison
 			cnt := t.Len(n)
@@ -354,12 +422,22 @@ func (st *EvalState[N]) operandScalars(t Tree[N], root, ctx N, o *compiledOpnd) 
 					break
 				}
 				if s, ok := t.ScalarRaw(child); ok {
-					out = append(out, s)
+					out = appendConverted(out, s, o.conv)
 				}
 			}
 		}
 	}
 	st.PutNodes(nodes)
+	return out
+}
+
+func appendConverted(out []jsondom.Scalar, s jsondom.Scalar, c jsonpath.Conversion) []jsondom.Scalar {
+	if c == jsonpath.ConvNone {
+		return append(out, s)
+	}
+	if s, ok := Convert(s, c); ok {
+		return append(out, s)
+	}
 	return out
 }
 

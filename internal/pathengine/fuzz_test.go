@@ -75,6 +75,70 @@ func fuzzMultiset(vs []jsondom.Value) []string {
 	return keys
 }
 
+// operandSeedDocs and operandSeedPaths seed both fuzzers with filter
+// operands that are '@' or plain field chains, landing on each kind of
+// node: scalars, arrays (lax unwrapping), objects, and missing fields.
+var operandSeedDocs = []string{
+	`{"a":[1,2],"b":{"c":1},"c":1,"d":null,"e":"1"}`,
+	`[{"a":{"b":1}},{"a":[{"b":1},{"b":2}]},{"a":1},{"a":{"b":[1,3]}},{"b":true},{},[{"a":{"b":1}}]]`,
+	`{"x":[{"q":"9","p":9},{"q":9,"p":"9"},{"q":true},{"q":null},{"q":[9]},{"q":{"r":9}}]}`,
+}
+
+var operandSeedPaths = []string{
+	`$?(@ == 1)`,
+	`$.c?(@ > 0)`,
+	`$.a?(@ == 2)`,
+	`$.b?(@ == 1)`,
+	`$[*]?(@ == true)`,
+	`$?(@.c == 1)`,
+	`$?(@.a == 2)`,
+	`$?(@.b == 1)`,
+	`$?(@.b.c >= 1)`,
+	`$?(@.missing == 1)`,
+	`$?(@.d == null)`,
+	`$?(@.e == 1 || @.e == "1")`,
+	`$[*]?(@.a.b == 1)`,
+	`$[*]?(@.a.b > 2)`,
+	`$[*]?(@.a == 1)`,
+	`$[*]?(@.a.b == @.a.b)`,
+	`strict $[*]?(@.a.b == 1)`,
+	`strict $[*]?(@.a == 1)`,
+	`strict $?(@.a == 2)`,
+	`strict $.x[*]?(@.q == 9)`,
+	`$.x[*]?(@.q == 9 || @.q == "9" || @.q == null)`,
+	`$.x[*]?(@.q == 9 || @.p == "9")`,
+	`$.x[*]?(@.q.r == 9)`,
+	`$.x[*]?(@.q != 9).p`,
+	`$..*?(@.q == 9)`,
+}
+
+// addSeeds adds every pairing of docs and paths, then the pairings that
+// involve the operand seeds: filter operands read directly ('@' or an
+// '@'-relative field chain) landing on scalars, arrays, objects and
+// missing fields, in lax and strict mode, and IN-list-shaped
+// disjunctions. The operand pairings come last so the seed numbers of
+// the docs × paths pairings stay stable.
+func addSeeds(f *testing.F, docs, paths []string) {
+	for _, d := range docs {
+		for _, p := range paths {
+			f.Add(d, p)
+		}
+	}
+	for _, d := range docs {
+		for _, p := range operandSeedPaths {
+			f.Add(d, p)
+		}
+	}
+	for _, d := range operandSeedDocs {
+		for _, p := range paths {
+			f.Add(d, p)
+		}
+		for _, p := range operandSeedPaths {
+			f.Add(d, p)
+		}
+	}
+}
+
 // FuzzPathEvalOsonVsDom evaluates a fuzzer-chosen path over a
 // fuzzer-chosen document through both backends and requires identical
 // results.
@@ -100,11 +164,7 @@ func FuzzPathEvalOsonVsDom(f *testing.F) {
 		`$.n.*`,
 		`$..*?(@.partName starts with "bat")`,
 	}
-	for _, d := range seedDocs {
-		for _, p := range seedPaths {
-			f.Add(d, p)
-		}
-	}
+	addSeeds(f, seedDocs, seedPaths)
 	f.Fuzz(func(t *testing.T, docText, pathText string) {
 		if len(docText) > 1<<12 || len(pathText) > 1<<8 {
 			t.Skip("oversized input")
@@ -209,11 +269,7 @@ func FuzzPathEvalTextVsDom(f *testing.F) {
 		`$.a[1,0].*`,
 		`$.a[0,0].b[last]`,
 	}
-	for _, d := range seedDocs {
-		for _, p := range seedPaths {
-			f.Add(d, p)
-		}
-	}
+	addSeeds(f, seedDocs, seedPaths)
 	f.Fuzz(func(t *testing.T, docText, pathText string) {
 		if len(docText) > 1<<12 || len(pathText) > 1<<8 {
 			t.Skip("oversized input")

@@ -101,11 +101,16 @@ type compiledPred struct {
 	raw   jsonpath.Predicate
 	kids  []*compiledPred // And/Or/Not children
 	paths []*compiledOpnd // comparison operands / exists paths
+	// eqLits is set on an '||' chain of '==' comparisons of one operand
+	// (paths[0]) with literals, the shape of an IN list: the operand
+	// is read once and compared with each literal.
+	eqLits []jsondom.Scalar
 }
 
 type compiledOpnd struct {
 	path    *Compiled
 	root    bool // '$'-anchored (vs '@')
+	conv    jsonpath.Conversion
 	literal jsondom.Value
 	// litScalar is the unboxed literal for raw comparison. A
 	// (grammar-unreachable) non-scalar literal is marked with
@@ -224,6 +229,11 @@ func compilePred(p jsonpath.Predicate) *compiledPred {
 	case jsonpath.AndPred:
 		cp.kids = []*compiledPred{compilePred(t.L), compilePred(t.R)}
 	case jsonpath.OrPred:
+		if opnd, lits, ok := eqList(t); ok {
+			cp.paths = []*compiledOpnd{compileOperand(opnd)}
+			cp.eqLits = lits
+			return cp
+		}
 		cp.kids = []*compiledPred{compilePred(t.L), compilePred(t.R)}
 	case jsonpath.NotPred:
 		cp.kids = []*compiledPred{compilePred(t.P)}
@@ -235,10 +245,50 @@ func compilePred(p jsonpath.Predicate) *compiledPred {
 	return cp
 }
 
+// eqList recognizes an '||' chain whose every leaf compares the same
+// path operand ('==') with a scalar literal. Disjunction of existential
+// comparisons over one operand is the existential comparison of its
+// sequence with any of the literals, so the chain evaluates as one.
+func eqList(p jsonpath.OrPred) (jsonpath.PathOperand, []jsondom.Scalar, bool) {
+	var opnd jsonpath.PathOperand
+	var lits []jsondom.Scalar
+	var walk func(jsonpath.Predicate) bool
+	walk = func(q jsonpath.Predicate) bool {
+		switch t := q.(type) {
+		case jsonpath.OrPred:
+			return walk(t.L) && walk(t.R)
+		case jsonpath.CmpPred:
+			l, ok := t.Left.(jsonpath.PathOperand)
+			r, rok := t.Right.(jsonpath.LiteralOperand)
+			if !ok || !rok || t.Op != jsonpath.OpEq {
+				return false
+			}
+			s, ok := jsondom.ScalarOf(r.Value)
+			if !ok {
+				return false
+			}
+			if lits == nil {
+				opnd = l
+			} else if l.Conv != opnd.Conv || l.Path.Lax != opnd.Path.Lax || l.Path.Text != opnd.Path.Text {
+				return false
+			}
+			lits = append(lits, s)
+			return true
+		}
+		return false
+	}
+	if !walk(p) {
+		return opnd, nil, false
+	}
+	return opnd, lits, true
+}
+
 func compileOperand(o jsonpath.Operand) *compiledOpnd {
 	switch t := o.(type) {
 	case jsonpath.PathOperand:
-		return compileOperandPath(t.Path)
+		op := compileOperandPath(t.Path)
+		op.conv = t.Conv
+		return op
 	case jsonpath.LiteralOperand:
 		op := &compiledOpnd{literal: t.Value}
 		if s, ok := jsondom.ScalarOf(t.Value); ok {
@@ -253,6 +303,44 @@ func compileOperand(o jsonpath.Operand) *compiledOpnd {
 
 func compileOperandPath(p *jsonpath.Path) *compiledOpnd {
 	return &compiledOpnd{path: Compile(p), root: p.IsRootRelative()}
+}
+
+// Convert applies a PathOperand conversion to one scalar; ok=false
+// means the scalar converts to nothing (SQL NULL) and drops out of the
+// operand's sequence. The conversions are those of a JSON_TABLE column
+// of the matching type, which delegates to this function, so a
+// converted prefilter comparison sees exactly the value the column
+// would hold. Numbers pass through unchanged (doubles stay doubles:
+// their comparison is the same float ordering either way).
+func Convert(s jsondom.Scalar, c jsonpath.Conversion) (jsondom.Scalar, bool) {
+	if s.K == jsondom.KindNull {
+		return s, c == jsonpath.ConvNone
+	}
+	switch c {
+	case jsonpath.ConvNumber:
+		switch s.K {
+		case jsondom.KindNumber, jsondom.KindDouble:
+			return s, true
+		case jsondom.KindString:
+			n, err := jsondom.CanonNumber(s.Str)
+			if err != nil {
+				return jsondom.Scalar{}, false
+			}
+			return jsondom.Scalar{K: jsondom.KindNumber, Str: n}, true
+		case jsondom.KindBool:
+			if s.B {
+				return jsondom.Scalar{K: jsondom.KindNumber, Str: "1"}, true
+			}
+			return jsondom.Scalar{K: jsondom.KindNumber, Str: "0"}, true
+		}
+		return jsondom.Scalar{}, false
+	case jsonpath.ConvString:
+		if s.K == jsondom.KindString {
+			return s, true
+		}
+		return jsondom.Scalar{K: jsondom.KindString, Str: jsontext.SerializeString(s.Box())}, true
+	}
+	return s, true
 }
 
 // ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ package sqlengine
 // parallel/serial plans, and batch/row execution — 24 configurations
 // per query — and every configuration must return bit-for-bit the rows
 // of the reference configuration (text storage, fully row-at-a-time,
-// serial). The corpus files also carry expected row counts, refreshed
-// with:
+// serial). The corpus files also carry expected row counts and, where
+// a case has a "-- digest:" line, a digest of the reference rows, which
+// pins their contents against a change every configuration shares
+// (JSON_TABLE column pruning and prefilters run in all of them). Both
+// are refreshed with:
 //
 //	go test ./internal/sqlengine -run TestQueryCorpus -update-corpus
 //
@@ -17,6 +20,7 @@ package sqlengine
 import (
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,10 +39,18 @@ var updateCorpus = flag.Bool("update-corpus", false,
 	"rewrite corpus expected row counts from the reference configuration and re-seed the parser fuzz corpus")
 
 type corpusCase struct {
-	file string
-	name string
-	rows int
-	sql  string
+	file   string
+	name   string
+	rows   int
+	digest string // "" when the case pins no digest
+	sql    string
+}
+
+// rowsDigest is the FNV-64a digest of the printed rows, in hex.
+func rowsDigest(rows string) string {
+	h := fnv.New64a()
+	h.Write([]byte(rows))
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // loadCorpus parses every testdata/corpus/*.sql file: "-- case:" opens
@@ -75,6 +87,11 @@ func loadCorpus(t *testing.T) []corpusCase {
 					t.Fatalf("%s: bad rows line %q", f, trimmed)
 				}
 				cur.rows = n
+			case strings.HasPrefix(trimmed, "-- digest:"):
+				if cur == nil {
+					t.Fatalf("%s: -- digest: outside a case", f)
+				}
+				cur.digest = strings.TrimSpace(trimmed[len("-- digest:"):])
 			case trimmed == "" || strings.HasPrefix(trimmed, "--"):
 			default:
 				if cur == nil || cur.sql != "" {
@@ -171,6 +188,22 @@ func newCorpusEngine(t *testing.T, mode string) *Engine {
 	mustExec(t, e, `alter table d add virtual column vcity as json_value(jdoc, '$.addr.city')`)
 	mustExec(t, e, `alter table lk add virtual column vk as json_value(jdoc, '$.k')`)
 	mustExec(t, e, `alter table lk add virtual column vw as json_value(jdoc, '$.w' returning number)`)
+	// De-normalized Master-Detail views for the JSON_TABLE cases: one
+	// detail clause (dv), two sibling clauses over the same array
+	// (dsib, union join), and a filtered detail clause that matches
+	// nothing on single-item documents (dout, outer join). Each expands
+	// the first 280 documents, which keeps the case matrix cheap.
+	mustExec(t, e, `create view dv as select d.did, jt.* from (select did, jdoc from d where did < 280) d, json_table(jdoc, '$' columns (
+		s varchar2(8) path '$.s', g varchar2(8) path '$.g', price number path '$.price',
+		city varchar2(8) path '$.addr.city', zip varchar2(8) path '$.addr.zip',
+		nested path '$.items[*]' columns (q number path '$.q', part varchar2(8) path '$.part'))) jt`)
+	mustExec(t, e, `create view dsib as select d.did, jt.* from (select did, jdoc from d where did < 280) d, json_table(jdoc, '$' columns (
+		g varchar2(8) path '$.g',
+		nested path '$.items[*]' columns (q number path '$.q'),
+		nested path '$.items[*]' columns (part varchar2(8) path '$.part'))) jt`)
+	mustExec(t, e, `create view dout as select d.did, jt.* from (select did, jdoc from d where did < 280) d, json_table(jdoc, '$' columns (
+		s varchar2(8) path '$.s',
+		nested path '$.items[*]?(@.q > 1)' columns (q number path '$.q', part varchar2(8) path '$.part'))) jt`)
 	if mode == "oson-imc" {
 		attachIMC(t, e, "d", "vn", "vs", "vg", "vprice", "vcity")
 		attachIMC(t, e, "lk", "vk", "vw")
@@ -241,9 +274,18 @@ func TestQueryCorpus(t *testing.T) {
 		ref[ci] = fmt.Sprint(r.Rows)
 		if *updateCorpus {
 			cases[ci].rows = len(r.Rows)
-		} else if c.rows >= 0 && len(r.Rows) != c.rows {
+			if c.digest != "" {
+				cases[ci].digest = rowsDigest(ref[ci])
+			}
+			continue
+		}
+		if c.rows >= 0 && len(r.Rows) != c.rows {
 			t.Errorf("%s/%s: reference returned %d rows, corpus expects %d",
 				filepath.Base(c.file), c.name, len(r.Rows), c.rows)
+		}
+		if c.digest != "" && rowsDigest(ref[ci]) != c.digest {
+			t.Errorf("%s/%s: reference rows digest %s, corpus expects %s:\n  %s",
+				filepath.Base(c.file), c.name, rowsDigest(ref[ci]), c.digest, clip(ref[ci]))
 		}
 	}
 	if *updateCorpus {
@@ -287,7 +329,12 @@ func writeCorpusUpdates(t *testing.T, cases []corpusCase) {
 		lines := strings.Split(string(data), "\n")
 		idx := 0
 		for li, line := range lines {
-			if !strings.HasPrefix(strings.TrimSpace(line), "-- rows:") {
+			trimmed := strings.TrimSpace(line)
+			if strings.HasPrefix(trimmed, "-- digest:") && idx > 0 {
+				lines[li] = "-- digest: " + cs[idx-1].digest
+				continue
+			}
+			if !strings.HasPrefix(trimmed, "-- rows:") {
 				continue
 			}
 			if idx >= len(cs) {

@@ -935,6 +935,13 @@ func (e *Engine) planSelectPushed(stmt *SelectStmt, env *planEnv, pushed []Expr)
 	// large enough to amortize the workers. Also a plan-time property
 	// keyed by the planner-option snapshot.
 	e.enableParallelExec(src)
+
+	// 14. JSON_TABLE column pruning: expansion evaluates only the
+	// columns the plan reads. A view's or derived table's own pass is
+	// superseded by the enclosing statement's, which runs later.
+	if env.jsonTables {
+		pruneJSONTableColumns(src)
+	}
 	return src, names, nil
 }
 
@@ -1660,6 +1667,7 @@ func (e *Engine) buildFrom(f FromItem, left rowSource, fp *fromPlan) (rowSource,
 		}
 		return newAliasWrap(inner, t.Alias, names), false, nil
 	case *JSONTableRef:
+		fp.env.jsonTables = true
 		return newJSONTableOp(left, t, fp.env), true, nil
 	case *JoinRef:
 		join, lateral, _, err := e.planJoinRef(t, left, nil, fp)

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/dataguide"
@@ -58,6 +59,10 @@ type planEnv struct {
 	params  []jsondom.Value
 	aggCols map[*FuncCall]int
 	winCols map[*WindowFunc]int
+	// jsonTables is set at plan time when any FROM item, views and
+	// derived tables included, is a JSON_TABLE: only such plans need
+	// the column-pruning pass.
+	jsonTables bool
 }
 
 func (e *planEnv) ctx(sch Schema, row []jsondom.Value) *evalCtx {
@@ -854,14 +859,22 @@ type jsonTableOp struct {
 	argCtx  *evalCtx
 	st      *OpStats
 	ticks   int
-	// preFilters are implied JSON_EXISTS path predicates; documents
-	// failing any of them are skipped before row expansion (§6.3).
+	// preFilters are implied JSON_EXISTS path predicates, one per
+	// column-tree clause with its conjuncts fused; documents failing any
+	// of them are skipped before row expansion (§6.3). preLabels names
+	// each one's clause and fused-conjunct count for EXPLAIN.
 	preFilters []*pathengine.Compiled
-	// preSpecs are prefilter candidates that reference bind parameters:
-	// their constants are known only at execution time, so Open
-	// translates them with the current bind values into runFilters.
-	preSpecs   []Expr
+	preLabels  []string
+	// preSpecs are prefilter groups with a conjunct that references
+	// bind parameters: their constants are known only at execution
+	// time, so Open translates them with the current bind values into
+	// runFilters.
+	preSpecs   []*prefilterGroup
 	runFilters []*pathengine.Compiled
+	// readCols marks the JSON_TABLE output columns the plan above reads
+	// (pruneJSONTableColumns); nil means all. Plan state, copied by
+	// clonePlan and workerSource; Open hands it to the ExpandState.
+	readCols []bool
 	// arena carves the merged left+expanded output rows.
 	arena rowArena
 	// batch enables pooled-batch delivery of the expanded rows (plan
@@ -905,8 +918,8 @@ func (j *jsonTableOp) Open(ec *ExecCtx) error {
 	j.pending, j.pi, j.done = j.pending[:0], 0, false
 	j.leftRow = nil
 	j.runFilters = nil
-	for _, c := range j.preSpecs {
-		if pf, ok := translatePrefilter(j.ref, c, j.env.params); ok {
+	for _, g := range j.preSpecs {
+		if pf, _ := g.compile(j.ref, j.env.params); pf != nil {
 			j.runFilters = append(j.runFilters, pf)
 		}
 	}
@@ -924,6 +937,7 @@ func (j *jsonTableOp) Open(ec *ExecCtx) error {
 		j.emitPend = j.pendEmit
 		j.emitBatch = j.batchEmit
 	}
+	j.exp.SetReadColumns(j.readCols)
 	j.base = j.exp.Stats()
 	j.pruned = 0
 	if j.left != nil {
@@ -1090,13 +1104,31 @@ func (j *jsonTableOp) expandDoc(ec *ExecCtx, leftRow []jsondom.Value, emit func(
 	return j.exp.Expand(emit)
 }
 
+// opName reports the columns expansion evaluates (cols=read/total)
+// and, per column-tree clause, how many WHERE conjuncts its prefilter
+// fuses: static ones compiled at plan time, dynamic ones (with bind
+// parameters) at each Open.
 func (j *jsonTableOp) opName() string {
-	name := fmt.Sprintf("JSONTable(%s", j.ref.Alias)
-	if len(j.preFilters) > 0 {
-		name += fmt.Sprintf(" prefilters=%d", len(j.preFilters))
+	total := len(j.ref.ColNames)
+	read := total
+	if j.readCols != nil {
+		read = 0
+		for _, r := range j.readCols {
+			if r {
+				read++
+			}
+		}
+	}
+	name := fmt.Sprintf("JSONTable(%s cols=%d/%d", j.ref.Alias, read, total)
+	if len(j.preLabels) > 0 {
+		name += " prefilters=[" + strings.Join(j.preLabels, " ") + "]"
 	}
 	if len(j.preSpecs) > 0 {
-		name += fmt.Sprintf(" dyn-prefilters=%d", len(j.preSpecs))
+		labels := make([]string, len(j.preSpecs))
+		for i, g := range j.preSpecs {
+			labels[i] = g.label(j.ref, len(g.conjs))
+		}
+		name += " dyn-prefilters=[" + strings.Join(labels, " ") + "]"
 	}
 	return name + ")"
 }

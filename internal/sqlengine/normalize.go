@@ -7,9 +7,10 @@
 // Not every literal token becomes a bind slot: LIMIT counts, SAMPLE
 // percentages, JSON path texts, and positional ORDER BY ordinals are
 // consumed by the parser into plain struct fields rather than Literal
-// nodes, and changing them changes the plan. Their texts are recorded
-// in the entry's fixed list and compared on every lookup; a mismatch
-// is a miss that replaces the entry.
+// nodes, and changing them changes the plan. Their texts extend the
+// cache key (appendCacheKey in plancache.go), so statements that differ only
+// in a JSON path each keep their own entry instead of replacing one
+// another.
 
 package sqlengine
 

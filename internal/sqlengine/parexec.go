@@ -143,7 +143,8 @@ func (pp *parPipe) workerSource(lo, hi int, env *planEnv) rowSource {
 			src = &aliasWrap{in: src, alias: t.alias, sch: t.sch}
 		case *jsonTableOp:
 			src = &jsonTableOp{left: src, ref: t.ref, sch: t.sch, env: env,
-				preFilters: t.preFilters, preSpecs: t.preSpecs, batch: t.batch}
+				preFilters: t.preFilters, preLabels: t.preLabels, preSpecs: t.preSpecs,
+				readCols: t.readCols, batch: t.batch}
 		}
 	}
 	return src

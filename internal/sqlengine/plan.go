@@ -95,7 +95,8 @@ func (j *jsonTableOp) clonePlan(env *planEnv) rowSource {
 		left = clonePlanTree(j.left, env)
 	}
 	return &jsonTableOp{planEstimate: j.planEstimate, left: left, ref: j.ref, sch: j.sch, env: env,
-		preFilters: j.preFilters, preSpecs: j.preSpecs, batch: j.batch}
+		preFilters: j.preFilters, preLabels: j.preLabels, preSpecs: j.preSpecs,
+		readCols: j.readCols, batch: j.batch}
 }
 
 func (c *crossJoin) clonePlan(env *planEnv) rowSource {

@@ -12,6 +12,7 @@ package sqlengine
 import (
 	"container/list"
 	"context"
+	"strconv"
 	"sync"
 	"time"
 
@@ -27,16 +28,18 @@ const defaultPlanCacheSize = 128
 // binding recipe that maps an execution's literals onto the plan's
 // parameter slots.
 type planEntry struct {
+	// norm is the normalized SQL; key is norm extended with the texts
+	// of the fixed literals (appendCacheKey), so statements that differ
+	// only in a baked literal (a JSON path, a LIMIT) cache side by side.
+	norm string
 	key  string
 	plan *preparedPlan
 	gen  uint64         // engine plan generation at build time
 	opts PlannerOptions // planner-option snapshot at build time
 	// litParam maps the i-th number/string token to its bind slot, or
-	// -1 for tokens whose text is baked into the plan (fixed).
+	// -1 for tokens whose text is baked into the plan (fixed; the key
+	// carries their texts).
 	litParam []int
-	// fixed holds, in order, the texts of the baked literal tokens; a
-	// lookup whose tokens differ here cannot reuse the plan.
-	fixed []string
 	// nUser is the user-supplied parameter count the plan was built
 	// for; nSlots is nUser plus the auto-parameterized literal count.
 	nUser, nSlots int
@@ -50,21 +53,17 @@ type planEntry struct {
 // bindLits assembles the execution parameter vector: the caller's
 // values in slots [0,nUser) and the lookup's literal tokens converted
 // into the slots recorded at build time. It reports false when the
-// token stream does not fit the entry (fixed-text mismatch).
+// token stream does not fit the entry. Fixed literals need no check:
+// the lookup key carries their texts.
 func (ent *planEntry) bindLits(user []jsondom.Value, lits []token) ([]jsondom.Value, bool) {
 	if len(lits) != len(ent.litParam) {
 		return nil, false
 	}
 	exec := make([]jsondom.Value, ent.nSlots)
 	copy(exec, user)
-	fi := 0
 	for i, t := range lits {
 		slot := ent.litParam[i]
 		if slot < 0 {
-			if fi >= len(ent.fixed) || ent.fixed[fi] != t.text {
-				return nil, false
-			}
-			fi++
 			continue
 		}
 		v, err := litValue(t)
@@ -76,40 +75,106 @@ func (ent *planEntry) bindLits(user []jsondom.Value, lits []token) ([]jsondom.Va
 	return exec, true
 }
 
+// fixedTokens returns the indices of the literal tokens baked into the
+// plan.
+func (ent *planEntry) fixedTokens() []int {
+	var fixed []int
+	for i, slot := range ent.litParam {
+		if slot < 0 {
+			fixed = append(fixed, i)
+		}
+	}
+	return fixed
+}
+
 // planCache is a mutex-guarded LRU of planEntry keyed by normalized
-// SQL. All methods are safe for concurrent use.
+// SQL plus fixed-literal texts. All methods are safe for concurrent
+// use.
 type planCache struct {
 	mu    sync.Mutex
 	cap   int
 	lru   *list.List // front = most recently used; values are *planEntry
 	byKey map[string]*list.Element
+	// shapes records, per normalized SQL with cached entries, which
+	// literal tokens are fixed, so a lookup can build the full key
+	// before parsing; refs counts the entries sharing the shape, so
+	// the map never outgrows the LRU.
+	shapes map[string]*cacheShape
+	keyBuf []byte // lookup-key scratch
+}
+
+// cacheShape is the fixed-literal layout of one normalized statement:
+// which number/string tokens the parser bakes into the plan. The
+// layout is a property of the token stream the normalized text
+// encodes, so every entry of one normalized text shares it.
+type cacheShape struct {
+	fixed []int
+	refs  int
 }
 
 func newPlanCache(capacity int) *planCache {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &planCache{cap: capacity, lru: list.New(), byKey: make(map[string]*list.Element)}
+	return &planCache{cap: capacity, lru: list.New(), byKey: make(map[string]*list.Element),
+		shapes: make(map[string]*cacheShape)}
 }
 
-// get returns the entry for key, promoting it to most recently used.
-func (c *planCache) get(key string) *planEntry {
+// appendCacheKey appends to dst a normalized text extended with the
+// texts of its fixed literal tokens (length-prefixed, so no text can
+// forge a boundary); ok=false when the tokens do not fit the layout.
+func appendCacheKey(dst []byte, norm string, lits []token, fixed []int) ([]byte, bool) {
+	dst = append(dst, norm...)
+	for _, i := range fixed {
+		if i >= len(lits) {
+			return dst, false
+		}
+		dst = append(dst, 0)
+		dst = strconv.AppendInt(dst, int64(len(lits[i].text)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, lits[i].text...)
+	}
+	return dst, true
+}
+
+// lookupLocked finds the entry for a normalized text and its literal
+// tokens. The key is built in the cache's scratch buffer (guarded by
+// mu), and the map lookup on its bytes does not copy them.
+func (c *planCache) lookupLocked(norm string, lits []token) *list.Element {
+	sh := c.shapes[norm]
+	if sh == nil {
+		return nil
+	}
+	if len(sh.fixed) == 0 {
+		return c.byKey[norm]
+	}
+	var ok bool
+	c.keyBuf, ok = appendCacheKey(c.keyBuf[:0], norm, lits, sh.fixed)
+	if !ok {
+		return nil
+	}
+	return c.byKey[string(c.keyBuf)]
+}
+
+// get returns the entry for the statement, promoting it to most
+// recently used.
+func (c *planCache) get(norm string, lits []token) *planEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
+	el := c.lookupLocked(norm, lits)
+	if el == nil {
 		return nil
 	}
 	c.lru.MoveToFront(el)
 	return el.Value.(*planEntry)
 }
 
-// peek returns the entry for key without touching recency (EXPLAIN's
-// cache-status probe).
-func (c *planCache) peek(key string) *planEntry {
+// peek returns the entry for the statement without touching recency
+// (EXPLAIN's cache-status probe).
+func (c *planCache) peek(norm string, lits []token) *planEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
+	if el := c.lookupLocked(norm, lits); el != nil {
 		return el.Value.(*planEntry)
 	}
 	return nil
@@ -128,19 +193,36 @@ func (c *planCache) put(ent *planEntry) {
 		c.lru.MoveToFront(el)
 		return
 	}
+	sh := c.shapes[ent.norm]
+	if sh == nil {
+		sh = &cacheShape{}
+		c.shapes[ent.norm] = sh
+	}
+	sh.fixed = ent.fixedTokens()
+	sh.refs++
 	c.byKey[ent.key] = c.lru.PushFront(ent)
 	for c.lru.Len() > c.cap {
 		c.evictBackLocked()
 	}
 }
 
-// remove drops the entry for key if present.
-func (c *planCache) remove(key string) {
+// remove drops ent if it is still the cached entry for its key.
+func (c *planCache) remove(ent *planEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		delete(c.byKey, key)
-		c.lru.Remove(el)
+	if el, ok := c.byKey[ent.key]; ok && el.Value == ent {
+		c.dropLocked(el)
+	}
+}
+
+func (c *planCache) dropLocked(el *list.Element) {
+	ent := el.Value.(*planEntry)
+	delete(c.byKey, ent.key)
+	c.lru.Remove(el)
+	if sh := c.shapes[ent.norm]; sh != nil {
+		if sh.refs--; sh.refs <= 0 {
+			delete(c.shapes, ent.norm)
+		}
 	}
 }
 
@@ -149,8 +231,7 @@ func (c *planCache) evictBackLocked() {
 	if el == nil {
 		return
 	}
-	delete(c.byKey, el.Value.(*planEntry).key)
-	c.lru.Remove(el)
+	c.dropLocked(el)
 	mPlanCacheEvictions.Inc()
 }
 
@@ -211,10 +292,10 @@ func (e *Engine) plannerSnapshot() PlannerOptions {
 // buildEntry compiles sel (which buildEntry rewrites in place) into a
 // cache entry: parameterizable literals become bind slots numbered
 // after the user parameters, in source-token order; the rest have
-// their texts recorded as fixed.
-func (e *Engine) buildEntry(key string, sel *SelectStmt, lits []token, nUser int, gen uint64, opts PlannerOptions) (*planEntry, error) {
+// their texts extend the entry's key.
+func (e *Engine) buildEntry(norm string, sel *SelectStmt, lits []token, nUser int, gen uint64, opts PlannerOptions) (*planEntry, error) {
 	byOff := collectParamLiterals(sel)
-	ent := &planEntry{key: key, gen: gen, opts: opts, nUser: nUser}
+	ent := &planEntry{norm: norm, gen: gen, opts: opts, nUser: nUser}
 	slot := nUser
 	assign := make(map[int]int, len(byOff))
 	for _, t := range lits {
@@ -224,10 +305,14 @@ func (e *Engine) buildEntry(key string, sel *SelectStmt, lits []token, nUser int
 			slot++
 		} else {
 			ent.litParam = append(ent.litParam, -1)
-			ent.fixed = append(ent.fixed, t.text)
 		}
 	}
 	ent.nSlots = slot
+	ent.key = norm
+	if fixed := ent.fixedTokens(); len(fixed) > 0 {
+		k, _ := appendCacheKey(nil, norm, lits, fixed)
+		ent.key = string(k)
+	}
 	if len(assign) > 0 {
 		rewriteSelect(sel, func(x Expr) Expr {
 			if l, ok := x.(*Literal); ok && l.Off > 0 {
@@ -261,15 +346,15 @@ func (e *Engine) execCached(ctx context.Context, sql string, params []jsondom.Va
 	}
 	gen := e.planGen.Load()
 	opts := e.plannerSnapshot()
-	if ent := e.plans.get(key); ent != nil {
+	if ent := e.plans.get(key, lits); ent != nil {
 		if ent.gen != gen || ent.opts != opts {
-			e.plans.remove(key)
+			e.plans.remove(ent)
 		} else if !opts.DisableCostBasedPlanner && ent.statsFP != planStatsFP(ent.plan.root) {
 			// statistics drift: the plan's cost decisions were made
 			// against table sizes that have since crossed a
 			// power-of-two bucket — re-plan with fresh estimates
 			mCostStatsDrift.Inc()
-			e.plans.remove(key)
+			e.plans.remove(ent)
 		} else if ent.nUser != len(params) {
 			// parameter-count drift: let the uncached path produce the
 			// engine's usual missing/extra-parameter semantics

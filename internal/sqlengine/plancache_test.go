@@ -96,6 +96,48 @@ func TestPlanCacheFixedLiterals(t *testing.T) {
 	}
 }
 
+// TestPlanCachePathLiteralsKeySeparately alternates statements that
+// normalize to one text and differ only in a JSON path literal: each
+// keeps its own entry, so after the first round every execution hits.
+// A statement whose baked literal is new each time (an ad-hoc keyword
+// search) still misses every time.
+func TestPlanCachePathLiteralsKeySeparately(t *testing.T) {
+	e := newPOEngine(t)
+	qID := `select json_value(jdoc, '$.purchaseOrder.id') from po where did = 2`
+	qDate := `select json_value(jdoc, '$.purchaseOrder.podate') from po where did = 2`
+	mustExec(t, e, qID)
+	mustExec(t, e, qDate)
+	hits0, miss0, hard0 := mPlanCacheHits.Value(), mPlanCacheMisses.Value(), mHardParse.Value()
+	for i := 0; i < 3; i++ {
+		if r := mustExec(t, e, qID); fmt.Sprint(r.Rows) != "[[2]]" {
+			t.Fatalf("round %d: id rows = %v", i, r.Rows)
+		}
+		if r := mustExec(t, e, qDate); fmt.Sprint(r.Rows) != "[[2015-03-04]]" {
+			t.Fatalf("round %d: podate rows = %v", i, r.Rows)
+		}
+	}
+	if got := mPlanCacheHits.Value() - hits0; got != 6 {
+		t.Errorf("hits = %d, want 6", got)
+	}
+	if got := mPlanCacheMisses.Value() - miss0; got != 0 {
+		t.Errorf("misses = %d, want 0", got)
+	}
+	if got := mHardParse.Value() - hard0; got != 0 {
+		t.Errorf("hard parses = %d, want 0", got)
+	}
+	if n := e.PlanCacheLen(); n != 2 {
+		t.Errorf("cache len = %d, want 2", n)
+	}
+
+	miss0 = mPlanCacheMisses.Value()
+	for _, kw := range []string{"phone", "table", "tv"} {
+		mustExec(t, e, `select did from po where json_textcontains(jdoc, '$.purchaseOrder', '`+kw+`')`)
+	}
+	if got := mPlanCacheMisses.Value() - miss0; got != 3 {
+		t.Errorf("keyword-search misses = %d, want 3", got)
+	}
+}
+
 func TestPlanCacheLRUEviction(t *testing.T) {
 	e := newPOEngine(t)
 	e.SetPlanCacheSize(2)

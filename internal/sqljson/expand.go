@@ -24,7 +24,7 @@ package sqljson
 
 import (
 	"repro/internal/jsondom"
-	"repro/internal/jsontext"
+	"repro/internal/jsonpath"
 	"repro/internal/pathengine"
 )
 
@@ -93,6 +93,10 @@ type ExpandState struct {
 	// fresh box per row.
 	intern []colIntern
 
+	// read marks the flattened output columns the consumer reads; nil
+	// means all. Set per checkout by SetReadColumns.
+	read []bool
+
 	docs       int64
 	rows       int64
 	internHits int64
@@ -123,6 +127,16 @@ func nestedWidth(n *NestedPath) int {
 	}
 	return w
 }
+
+// SetReadColumns restricts evaluation to the flattened output columns
+// marked true in read (nil: all, the default). An unread column is
+// emitted as NULL without evaluating its path. NESTED PATH clauses are
+// still walked, so the number and order of the rows, and their outer-
+// and union-join shape, do not change. The mask is execution state:
+// states are pooled per definition and shared by plans that read
+// different columns, so the operator holding the state sets it on
+// every checkout.
+func (es *ExpandState) SetReadColumns(read []bool) { es.read = read }
 
 // Width returns the flattened output width of the definition.
 func (es *ExpandState) Width() int { return es.total }
@@ -208,6 +222,10 @@ func expandEmit[N any](es *ExpandState, st *pathengine.EvalState[N], t pathengin
 func emitNode[N any](es *ExpandState, st *pathengine.EvalState[N], t pathengine.Tree[N], node N, cols []TableColumn, nested []NestedPath, base, width int, emit func([]jsondom.Value) error) error {
 	row := es.row
 	for i := range cols {
+		if es.read != nil && !es.read[base+i] {
+			row[base+i] = jsondom.BoxedNull()
+			continue
+		}
 		v, err := columnValueState(es, st, t, node, &cols[i], base+i)
 		if err != nil {
 			return err
@@ -332,35 +350,25 @@ func cloneBox(v jsondom.Value) jsondom.Value {
 }
 
 // coerceScalar applies Coerce to an unboxed scalar, boxing the result
-// once (with interning for nulls, booleans, and small integers).
+// once (with interning for nulls, booleans, and small integers). The
+// NUMBER and VARCHAR2 conversions are pathengine.Convert, the function
+// JSON_TABLE prefilters convert their operands with, so a prefilter
+// compares exactly what the column holds.
 func coerceScalar(s jsondom.Scalar, rt ReturnType) jsondom.Value {
 	if s.K == jsondom.KindNull {
 		return jsondom.BoxedNull()
 	}
 	switch rt {
 	case RetNumber:
-		switch s.K {
-		case jsondom.KindNumber:
-			return s.Box()
-		case jsondom.KindDouble:
-			return jsondom.NumberFromFloat(s.F)
-		case jsondom.KindString:
-			if n, err := jsondom.N(s.Str); err == nil {
-				return n
-			}
-			return jsondom.BoxedNull()
-		case jsondom.KindBool:
-			if s.B {
-				return jsondom.Number("1")
-			}
-			return jsondom.Number("0")
+		if s.K == jsondom.KindNumber {
+			return s.Box() // Convert's identity case, without the call
 		}
-		return jsondom.BoxedNull()
+		return boxConverted(pathengine.Convert(s, jsonpath.ConvNumber))
 	case RetVarchar:
 		if s.K == jsondom.KindString {
-			return jsondom.String(s.Str)
+			return jsondom.String(s.Str) // Convert's identity case
 		}
-		return jsondom.String(jsontext.SerializeString(s.Box()))
+		return boxConverted(pathengine.Convert(s, jsonpath.ConvString))
 	case RetBool:
 		switch s.K {
 		case jsondom.KindBool:
@@ -376,6 +384,20 @@ func coerceScalar(s jsondom.Scalar, rt ReturnType) jsondom.Value {
 		return jsondom.BoxedNull()
 	}
 	return s.Box()
+}
+
+// boxConverted boxes a converted column scalar: doubles in canonical
+// NUMBER form, no item as NULL.
+func boxConverted(c jsondom.Scalar, ok bool) jsondom.Value {
+	switch {
+	case !ok:
+		return jsondom.BoxedNull()
+	case c.K == jsondom.KindDouble:
+		return jsondom.NumberFromFloat(c.F)
+	case c.K == jsondom.KindString:
+		return jsondom.String(c.Str)
+	}
+	return c.Box()
 }
 
 // equalFoldTF is the ASCII case-insensitive comparison Coerce's

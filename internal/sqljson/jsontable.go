@@ -9,10 +9,14 @@
 // shape (DMDV).
 //
 // Expansion is generic over the pathengine Tree backend, so OSON
-// documents are navigated directly over their serialized bytes and
-// only projected scalar leaves are decoded, while text documents pay
-// one DOM parse per document — exactly the cost asymmetry §5.1
-// describes.
+// documents are navigated directly over their serialized bytes while
+// text documents pay one DOM parse per document — exactly the cost
+// asymmetry §5.1 describes. Only projected scalar leaves are decoded:
+// the SQL planner computes which output columns anything above the
+// JSON_TABLE reads and hands that mask to the ExpandState
+// (SetReadColumns), which emits NULL for every other column without
+// evaluating its path. Row patterns and NESTED PATH clauses are always
+// walked, so pruning never changes which rows a document produces.
 
 package sqljson
 

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/bson"
 	"repro/internal/jsondom"
+	"repro/internal/jsonpath"
 	"repro/internal/jsontext"
 	"repro/internal/oson"
 	"repro/internal/pathengine"
@@ -216,6 +217,19 @@ const (
 	RetVarchar
 	RetBool
 )
+
+// Conversion returns the path-operand conversion that reproduces this
+// return type's coercion of a scalar (pathengine.Convert), ok=false for
+// types without one (RetAny, RetBool).
+func (rt ReturnType) Conversion() (jsonpath.Conversion, bool) {
+	switch rt {
+	case RetNumber:
+		return jsonpath.ConvNumber, true
+	case RetVarchar:
+		return jsonpath.ConvString, true
+	}
+	return jsonpath.ConvNone, false
+}
 
 // Value implements JSON_VALUE: the path must select at most one scalar;
 // containers and multiple matches yield SQL NULL (lax error handling,

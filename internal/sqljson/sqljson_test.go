@@ -355,3 +355,61 @@ func BenchmarkExpandOson(b *testing.B) {
 		}
 	}
 }
+
+// TestExpandStateReadColumns checks column pruning in the ExpandState:
+// for every read mask, the rows keep their number and order (outer and
+// union joins included), read columns hold what full expansion gives,
+// and unread ones are NULL.
+func TestExpandStateReadColumns(t *testing.T) {
+	def := poTableDef()
+	width := len(def.OutputColumns())
+	es := NewExpandState(def)
+	dom := jsontext.MustParse(poText)
+	datums := map[string]jsondom.Value{
+		"text": jsondom.String(poText),
+		"oson": jsondom.Binary(oson.MustEncode(dom)),
+		"bson": jsondom.Binary(bson.MustEncode(dom)),
+	}
+	for name, v := range datums {
+		d, err := FromDatum(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := def.Expand(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mask := 0; mask < 1<<width; mask++ {
+			read := make([]bool, width)
+			for i := range read {
+				read[i] = mask&(1<<i) != 0
+			}
+			es.SetReadColumns(read)
+			if err := es.Bind(v); err != nil {
+				t.Fatal(err)
+			}
+			var got [][]jsondom.Value
+			if err := es.Expand(func(row []jsondom.Value) error {
+				got = append(got, append([]jsondom.Value(nil), row...))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s mask %b: %d rows, want %d", name, mask, len(got), len(want))
+			}
+			for r := range want {
+				for c := range read {
+					w := want[r][c]
+					if !read[c] {
+						w = jsondom.Null{}
+					}
+					if !jsondom.Equal(got[r][c], w) {
+						t.Fatalf("%s mask %b row %d col %d = %v, want %v", name, mask, r, c, got[r][c], w)
+					}
+				}
+			}
+		}
+	}
+	es.SetReadColumns(nil)
+}
